@@ -263,30 +263,55 @@ class ScanReport:
         return doc
 
 
+MODES = ("ordinary", "nonordinary")
+
+
 def _certify_task(args):
-    p, mode = args
-    return certify(p, mode)
+    """Certify one prime in each of the given modes, in order, in this process.
+
+    Running the modes of one prime back to back lets the later mode reuse the
+    eigen decompositions the earlier one left in the in-process memos.
+    """
+    p, modes = args
+    return p, [certify(p, mode) for mode in modes]
 
 
-def scan_report(pmax: int, mode: str, jobs: int = 1) -> ScanReport:
-    """Certify every prime 5 < p <= pmax; certified primes listed ascending.
+def scan(pmax: int, modes, jobs: int = 1) -> list:
+    """Certify every prime 5 < p <= pmax in each mode; one ScanReport per mode.
 
-    Results are independent of the job count: each prime is certified in
-    isolation and reports are assembled in prime order.
+    Each prime is one task that certifies all modes, ordinary first.  Tasks
+    are dispatched largest prime first, since the cost of a prime grows with
+    p; each report lists its certificates in ascending p, so the bytes do not
+    depend on the job count.
     """
     if pmax < 17:
         raise ValueError("pmax must be >= 17")
-    if mode not in ("ordinary", "nonordinary"):
-        raise ValueError("scan mode must be ordinary or nonordinary")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if not modes or any(m not in MODES for m in modes):
+        raise ValueError("scan modes must be ordinary or nonordinary")
+    modes = [m for m in MODES if m in modes]
     primes = [p for p in primes_up_to(pmax) if p > 5]
-    if jobs > 1:
+    tasks = [(p, modes) for p in reversed(primes)]
+    workers = min(jobs, len(primes))
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            certs = pool.map(_certify_task, [(p, mode) for p in primes], chunksize=1)
+        with multiprocessing.Pool(workers) as pool:
+            done = dict(pool.imap_unordered(_certify_task, tasks, chunksize=1))
     else:
-        certs = [certify(p, mode) for p in primes]
-    certified = [c.p for c in certs if c.conclusion == CERTIFIED]
-    return ScanReport(mode, pmax, certified, certs)
+        done = dict(map(_certify_task, tasks))
+    reports = []
+    for i, mode in enumerate(modes):
+        certs = [done[p][i] for p in primes]
+        certified = [c.p for c in certs if c.conclusion == CERTIFIED]
+        reports.append(ScanReport(mode, pmax, certified, certs))
+    return reports
+
+
+def scan_report(pmax: int, mode: str, jobs: int = 1) -> ScanReport:
+    """Certify every prime 5 < p <= pmax in one mode; certified primes
+    listed ascending, independent of the job count (see `scan`)."""
+    return scan(pmax, [mode], jobs)[0]
 
 
 # ---------------------------------------------------------------------------

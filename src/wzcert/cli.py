@@ -33,8 +33,10 @@ def _build_parser():
     s.add_argument("--pmax", type=int, required=True)
     s.add_argument("--mode", choices=["ordinary", "nonordinary", "both"],
                    required=True)
-    s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--out", help="write the scan report JSON to this path")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, >= 1 (at most one per prime)")
+    s.add_argument("--out", help="write the scan report JSON to this path; "
+                   "required for --mode both, which writes OUT.<mode>.json")
 
     e = sub.add_parser("eigenform", help="print q-expansion coefficients")
     e.add_argument("--weight", type=int, required=True)
@@ -65,21 +67,22 @@ def _cmd_certify(args):
 
 
 def _cmd_scan(args):
-    modes = ["ordinary", "nonordinary"] if args.mode == "both" else [args.mode]
-    code = 0
-    for i, mode in enumerate(modes):
-        report = certify_mod.scan_report(args.pmax, mode, jobs=args.jobs)
+    both = args.mode == "both"
+    if both and not args.out:
+        raise SystemExit2("--mode both writes one report per mode and needs --out")
+    modes = certify_mod.MODES if both else [args.mode]
+    for report in certify_mod.scan(args.pmax, modes, jobs=args.jobs):
         out = args.out
-        if out and len(modes) > 1:
-            out = f"{out}.{mode}.json" if not out.endswith(".json") \
-                else out[:-5] + f".{mode}.json"
+        if both:
+            stem = out[:-5] if out.endswith(".json") else out
+            out = f"{stem}.{report.mode}.json"
         text = certify_mod.emit_report(report, out)
         if out:
-            print(f"{mode} scan to {args.pmax}: certified {report.certified} "
-                  f"-> {out}", file=sys.stderr)
+            print(f"{report.mode} scan to {args.pmax}: certified "
+                  f"{report.certified} -> {out}", file=sys.stderr)
         else:
             sys.stdout.write(text)
-    return code
+    return 0
 
 
 def _cmd_eigenform(args):
