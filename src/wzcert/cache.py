@@ -1,4 +1,5 @@
-"""Best-effort disk cache for computed bases and eigen systems.
+"""Best-effort disk cache for computed bases and eigen systems, and the
+registry of in-process memos.
 
 Entries are canonical JSON files keyed by their parameters and the tool
 version; corruption or a version mismatch simply triggers recomputation.
@@ -6,6 +7,7 @@ Writes are atomic (temp file + rename), so concurrent scans may share a
 cache directory: any writer of a key produces identical bytes.
 """
 
+import functools
 import json
 import os
 import tempfile
@@ -73,3 +75,24 @@ def reset_cache():
     """Forget the active cache so the next access re-reads the environment."""
     global _active
     _active = _UNSET
+
+
+_memos = []
+
+
+def memo(maxsize=None):
+    """functools.lru_cache that registers the function for `clear_memos`.
+
+    Arguments must be hashable, and every caller gets the same result object.
+    """
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        _memos.append(cached)
+        return cached
+    return decorate
+
+
+def clear_memos():
+    """Empty every in-process memo (the disk cache is untouched)."""
+    for cached in _memos:
+        cached.cache_clear()

@@ -19,7 +19,7 @@ from .exactarith import DEFAULT_MAX_EXT_DEGREE
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
 from .hecke import default_bound, eigensystems, exact_ap_dim1
-from .ordscan import EligibilityRow, nonordinary_weights
+from .ordscan import eligible_nonordinary
 from .primes import is_prime, primes_up_to
 from .qseries import dim_cusp
 from .tame import lift_check_nonordinary, lift_check_ordinary
@@ -130,100 +130,88 @@ def _split_pair_survey(p, B):
     return pairs
 
 
-def certify_ordinary(p: int, B_img: int | None = None,
-                     strict: bool = False) -> Certificate:
-    """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
-    _check_prime(p)
+def _bounds(p, B_img, strict):
+    """(B, B_img, B_use, bounds doc): the companion bound B, the image bound
+    and the bound the eigen systems are computed to."""
     B = default_bound(p)
     if strict:
         B = max(B, (p + 1) // 12 + 2)  # equal to the default bound by design
     B_img = B if B_img is None else B_img
     B_use = max(B, B_img)
+    bounds = {"B": B_use, "B_img": B_img, "strict": strict,
+              "ext_degree_cap": "max(8, dim)"}
+    return B, B_img, B_use, bounds
+
+
+def _lift_verdict(res):
+    return CheckVerdict(f"lift_weight0_n{res.n}", PASS if res.passed else FAIL,
+                        res.as_doc())
+
+
+def _candidate(k, n_values, sys, checks):
+    checks = [c.as_doc() for c in checks]
+    return {
+        "k": k,
+        "n_values": n_values,
+        "eigen": sys.as_doc(),
+        "checks": checks,
+        "conclusion": _candidate_conclusion(checks),
+    }
+
+
+def certify_ordinary(p: int, B_img: int | None = None,
+                     strict: bool = False) -> Certificate:
+    """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
+    _check_prime(p)
+    B, B_img, B_use, bounds = _bounds(p, B_img, strict)
     candidates = []
     for k in range(12, p, 2):
         if gcd(k - 1, p - 1) != 1 or dim_cusp(k) == 0:
             continue
-        for sys in eigensystems(p, k, B_use, max_degree=_ext_cap(k)):
-            if sys.ordinary is not True:
-                continue
-            checks = [_gcd_check(k, p - 1, "p-1")]
+        systems = [s for s in eigensystems(p, k, B_use, max_degree=_ext_cap(k))
+                   if s.ordinary is True]
+        if not systems:
+            continue
+        # the tame shape depends on (p, k, n) only
+        lifts = [_lift_verdict(lift_check_ordinary(p, k, n)) for n in (p - 2, p - 1)]
+        for sys in systems:
             ord_witness = {"ap": sys.as_doc()["ap"]}
             if dim_cusp(k) == 1:
                 ord_witness["ap_exact"] = str(exact_ap_dim1(k, p))
-            checks.append(CheckVerdict("ordinary_at_p", PASS, ord_witness))
-            checks.append(large_image_verdict(p, k, sys, "ordinary", B_img))
-            checks.append(split_verdict(p, k, sys, B, max_degree=_ext_cap(p + 1 - k)))
-            for n in (p - 2, p - 1):
-                res = lift_check_ordinary(p, k, n)
-                checks.append(CheckVerdict(
-                    f"lift_weight0_n{n}", PASS if res.passed else FAIL, res.as_doc()))
-            checks = [c.as_doc() for c in checks]
-            candidates.append({
-                "k": k,
-                "n_values": [p - 2, p - 1],
-                "eigen": sys.as_doc(),
-                "checks": checks,
-                "conclusion": _candidate_conclusion(checks),
-            })
-    bounds = {"B": B_use, "B_img": B_img, "strict": strict,
-              "ext_degree_cap": "max(8, dim)"}
+            checks = [
+                _gcd_check(k, p - 1, "p-1"),
+                CheckVerdict("ordinary_at_p", PASS, ord_witness),
+                large_image_verdict(p, k, sys, "ordinary", B_img),
+                split_verdict(p, k, sys, B, max_degree=_ext_cap(p + 1 - k)),
+            ] + lifts
+            candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
     return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
                        split_pairs=_split_pair_survey(p, B_use))
-
-
-def _nonordinary_rows(p):
-    """Eligibility split without the public p > 13 guard (p > 5 suffices here)."""
-    eligible, ineligible = [], []
-    for k in nonordinary_weights(p) if p > 13 else _small_nonordinary(p):
-        g = gcd(k - 1, p + 1)
-        (eligible if g == 1 else ineligible).append((k, g))
-    return EligibilityRow(p, tuple(eligible), tuple(ineligible))
-
-
-def _small_nonordinary(p):
-    from .hecke import ap_profile
-    out = []
-    for k in range(12, p, 2):
-        if dim_cusp(k) and any(z for _d, z, _m in ap_profile(p, k)):
-            out.append(k)
-    return out
 
 
 def certify_nonordinary(p: int, B_img: int | None = None,
                         strict: bool = False) -> Certificate:
     """Certificate for the non-ordinary regime at p (target n = p)."""
     _check_prime(p)
-    B = default_bound(p)
-    if strict:
-        B = max(B, (p + 1) // 12 + 2)
-    B_img = B if B_img is None else B_img
-    B_use = max(B, B_img)
-    rows = _nonordinary_rows(p)
+    _B, B_img, B_use, bounds = _bounds(p, B_img, strict)
+    rows = eligible_nonordinary(p)
     candidates = []
     for k, g in sorted(rows.eligible + rows.ineligible):
-        for sys in eigensystems(p, k, B_use, max_degree=_ext_cap(k)):
-            if sys.ordinary is not False:
-                continue
-            checks = [_gcd_check(k, p + 1, "p+1")]
-            checks.append(CheckVerdict("nonordinary_at_p", PASS, {
-                "ap": sys.as_doc()["ap"],
-                "class_degree": sys.d,
-            }))
+        systems = [s for s in eigensystems(p, k, B_use, max_degree=_ext_cap(k))
+                   if s.ordinary is False]
+        if not systems:
+            continue
+        lift = _lift_verdict(lift_check_nonordinary(p, k))
+        for sys in systems:
+            checks = [_gcd_check(k, p + 1, "p+1"),
+                      CheckVerdict("nonordinary_at_p", PASS, {
+                          "ap": sys.as_doc()["ap"],
+                          "class_degree": sys.d,
+                      })]
             if g == 1:
                 checks.append(large_image_verdict(p, k, sys, "nonordinary"))
-            res = lift_check_nonordinary(p, k)
-            checks.append(CheckVerdict(
-                f"lift_weight0_n{p}", PASS if res.passed else FAIL, res.as_doc()))
-            checks = [c.as_doc() for c in checks]
-            candidates.append({
-                "k": k,
-                "n_values": [p],
-                "eigen": sys.as_doc(),
-                "checks": checks,
-                "conclusion": _candidate_conclusion(checks),
-            })
-    bounds = {"B": B_use, "B_img": B_img, "strict": strict,
-              "ext_degree_cap": "max(8, dim)"}
+            checks.append(lift)
+            candidates.append(_candidate(k, [p], sys, checks))
     return Certificate(p, "nonordinary", _aggregate(candidates), candidates, bounds)
 
 

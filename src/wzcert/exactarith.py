@@ -1,195 +1,40 @@
-"""Exact arithmetic foundations: arbitrary-precision gcd and Legendre symbols,
-prime-field and canonical extension-field elements, exponent residue rings, and
-deterministic polynomial factorization over prime fields.
+"""The eigenvalue type: an element of the canonical field GF(p^d), stored as
+its coordinates, together with the default extension-degree cap.
+
+Arithmetic on these values is done in `ffpoly.canonical_field(p, d)` on raw
+field elements; this type only carries validated coordinates between the
+eigen system computation, the disk cache and the certificates.
 """
 
 from dataclasses import dataclass
-from math import gcd as _int_gcd
 
 from . import ffpoly
-from .primes import is_prime
 
 DEFAULT_MAX_EXT_DEGREE = 8
-
-_checked_primes = set()
-
-
-def _require_prime(p):
-    if p not in _checked_primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        _checked_primes.add(p)
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor (gcd(0, 0) is 0 by convention)."""
-    return _int_gcd(a, b)
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """The Legendre symbol (a|p) for an odd prime p."""
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    _require_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-class ExtDegreeError(ValueError):
-    """Requested extension degree exceeds the configured maximum."""
-
-
-def ext_field(p: int, d: int, *, max_degree: int | None = None):
-    """Canonical degree-d extension of GF(p); the prime field itself for d = 1.
-
-    The modulus is the lexicographically least monic irreducible polynomial,
-    comparing coefficient tuples most-significant first, so equal (p, d) always
-    yields an identical representation.
-    """
-    _require_prime(p)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    cap = DEFAULT_MAX_EXT_DEGREE if max_degree is None else max_degree
-    if d > cap:
-        raise ExtDegreeError(f"extension degree {d} exceeds maximum {cap}")
-    return ffpoly.canonical_field(p, d)
-
-
-def factor_univariate(p: int, coeffs) -> list:
-    """Factor a monic polynomial over GF(p) into (coefficients, multiplicity) pairs.
-
-    Input and output coefficients are integer tuples in ascending degree.
-    Factors are monic irreducible and canonically sorted by (degree, coefficients).
-    """
-    _require_prime(p)
-    f = tuple(c % p for c in coeffs)
-    if len(f) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if f[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    F = ffpoly.canonical_field(p, 1)
-    return [(g, m) for g, m in ffpoly.factor_monic(F, f)]
-
-
-@dataclass(frozen=True)
-class PrimeFieldElem:
-    """A residue mod an odd prime, always reduced to [0, p)."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.p, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.p, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.p, self.value * other.value)
-
-    def __neg__(self):
-        return PrimeFieldElem(self.p, -self.value)
-
-    def inv(self):
-        return PrimeFieldElem(self.p, pow(self.value, -1, self.p))
-
-    def is_zero(self):
-        return self.value == 0
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed prime moduli")
 
 
 @dataclass(frozen=True)
 class ExtFieldElem:
-    """An element of the canonical extension GF(p^d), d >= 2.
+    """An element of the canonical field GF(p^d), d >= 1.
 
-    `modulus` is the canonical irreducible (ascending integer coefficients,
-    monic) and `coeffs` the d coordinates in the generator power basis.
+    `coeffs` are the d coordinates, each in [0, p), in the power basis of the
+    generator of `ffpoly.canonical_field(p, d)` (for d = 1, the residue).
     """
 
     p: int
     d: int
-    modulus: tuple
     coeffs: tuple
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("use PrimeFieldElem for degree 1")
-        if self.modulus != ffpoly.canonical_modulus(self.p, self.d):
-            raise ValueError("modulus is not the canonical choice for (p, d)")
+        if self.d < 1:
+            raise ValueError("degree must be >= 1")
         if len(self.coeffs) != self.d:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+        if not all(0 <= c < self.p for c in self.coeffs):
+            raise ValueError("coordinates must lie in [0, p)")
 
     def field(self):
         return ffpoly.canonical_field(self.p, self.d)
 
-    def _raw(self):
-        return self.field().from_coords(self.coeffs)
-
-    @classmethod
-    def from_raw(cls, p, d, elem):
-        K = ffpoly.canonical_field(p, d)
-        return cls(p, d, ffpoly.canonical_modulus(p, d), K.coords(elem))
-
-    def __add__(self, other):
-        self._check(other)
-        K = self.field()
-        return ExtFieldElem.from_raw(self.p, self.d, K.add(self._raw(), other._raw()))
-
-    def __sub__(self, other):
-        self._check(other)
-        K = self.field()
-        return ExtFieldElem.from_raw(self.p, self.d, K.sub(self._raw(), other._raw()))
-
-    def __mul__(self, other):
-        self._check(other)
-        K = self.field()
-        return ExtFieldElem.from_raw(self.p, self.d, K.mul(self._raw(), other._raw()))
-
-    def __neg__(self):
-        K = self.field()
-        return ExtFieldElem.from_raw(self.p, self.d, K.neg(self._raw()))
-
-    def inv(self):
-        K = self.field()
-        return ExtFieldElem.from_raw(self.p, self.d, K.inv(self._raw()))
-
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def _check(self, other):
-        if (self.p, self.d) != (other.p, other.d):
-            raise ValueError("mixed fields")
-
-
-@dataclass(frozen=True)
-class ExponentResidue:
-    """A residue exponent mod M, where M is p-1 (level 1) or p^2-1 (level 2)."""
-
-    M: int
-    e: int
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "e", self.e % self.M)
-
-    def __add__(self, other):
-        if self.M != other.M:
-            raise ValueError("mixed moduli")
-        return ExponentResidue(self.M, self.e + other.e)
-
-    def scaled(self, n: int):
-        return ExponentResidue(self.M, self.e * n)
+        return not any(self.coeffs)

@@ -12,6 +12,7 @@ splitting elements are enumerated systematically rather than sampled.
 import numpy as np
 from scipy.signal import convolve2d
 
+from .cache import memo
 from .primes import is_prime
 
 
@@ -459,43 +460,21 @@ def factor_monic(F, f):
     return out
 
 
-def roots_in_field(F, f):
-    """All roots in F of monic f over F, sorted by coordinate tuples."""
-    x = (F.zero, F.one)
-    xq = ppowmod(F, x, F.order, f)
-    lin = pgcd(F, psub(F, xq, x), f)
-    roots = []
-    if pdeg(lin) > 0:
-        for g in _equal_degree(F, lin, 1):
-            roots.append(F.neg(g[0]))
-    roots.sort(key=F.coords)
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # canonical extension fields and embeddings
 
-_canon_modulus_cache = {}
-_canon_field_cache = {}
-_embed_root_cache = {}
 
-
+@memo()
 def canonical_modulus(p, d):
     """Lex-least monic irreducible of degree d over GF(p), as int coefficients.
 
     Coefficient tuples (c_{d-1}, ..., c_0) are compared most-significant first,
     which is the ascending order of the integer sum(c_j p^j).
     """
-    key = (p, d)
-    got = _canon_modulus_cache.get(key)
-    if got is not None:
-        return got
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d == 1:
-        mod = (0, 1)
-        _canon_modulus_cache[key] = mod
-        return mod
+        return (0, 1)
     F = PrimeField(p)
     t = 0
     while True:
@@ -511,7 +490,6 @@ def canonical_modulus(p, d):
         if any(peval(F, f, a) == 0 for a in range(p)):
             continue
         if _is_irreducible(F, f):
-            _canon_modulus_cache[key] = f
             return f
 
 
@@ -549,20 +527,16 @@ def _is_irreducible(F, f):
     return psub(F, xp_power(d), x) == ()
 
 
+@memo()
 def canonical_field(p, d):
     """The canonical field GF(p^d): PrimeField for d=1, else the canonical quotient."""
-    key = (p, d)
-    got = _canon_field_cache.get(key)
-    if got is None:
-        if d == 1:
-            got = PrimeField(p)
-        else:
-            base = canonical_field(p, 1)
-            got = ExtField(base, pfrom_ints(base, canonical_modulus(p, d)))
-        _canon_field_cache[key] = got
-    return got
+    if d == 1:
+        return PrimeField(p)
+    base = canonical_field(p, 1)
+    return ExtField(base, pfrom_ints(base, canonical_modulus(p, d)))
 
 
+@memo()
 def embed_root(g_ints, K):
     """Lex-least root in K of a monic irreducible g over GF(p), deg(g) | K.degree.
 
@@ -573,25 +547,16 @@ def embed_root(g_ints, K):
     columns = generator coordinates), multiplied by 2-D convolution and
     reduced by precomputed matrices on either axis.
     """
-    p = K.p
     dp = len(g_ints) - 1
-    key = (p, tuple(g_ints), K.degree)
-    got = _embed_root_cache.get(key)
-    if got is not None:
-        return got
     if K.degree % dp:
         raise ValueError("target field does not contain the splitting field")
     if dp == 1:
-        root = K.from_int(-g_ints[0])
-        _embed_root_cache[key] = root
-        return root
+        return K.from_int(-g_ints[0])
     r = _find_root_vectorized(g_ints, K)
     orbit = [r]
     for _ in range(dp - 1):
         orbit.append(K.frob(orbit[-1]))
-    root = min(orbit, key=K.coords)
-    _embed_root_cache[key] = root
-    return root
+    return min(orbit, key=K.coords)
 
 
 def _find_root_vectorized(g_ints, K):
@@ -688,18 +653,12 @@ def _lift_poly(K, f_over_prime):
     return ptrim(K, [K.from_int(c) for c in f_over_prime])
 
 
-_canon_embed_cache = {}
-
-
+@memo()
 def canonical_embedding(p, d1, d2):
     """(map, K2): evaluate degree-d1 canonical coordinates inside canonical
     GF(p^d2); d1 must divide d2.  The map takes a coords tuple of length d1."""
     if d2 % d1:
         raise ValueError("d1 must divide d2")
-    key = (p, d1, d2)
-    got = _canon_embed_cache.get(key)
-    if got is not None:
-        return got
     K2 = canonical_field(p, d2)
     if d1 == 1:
         fn = lambda coords: K2.from_int(coords[0])
@@ -714,7 +673,6 @@ def canonical_embedding(p, d1, d2):
                 acc = _K.add(_K.mul(acc, _r), _K.from_int(c))
             return acc
 
-    _canon_embed_cache[key] = (fn, K2)
     return fn, K2
 
 
@@ -756,9 +714,3 @@ def split_roots(K, f):
                 break
     roots.sort(key=K.coords)
     return roots
-
-
-def clear_caches():
-    _canon_modulus_cache.clear()
-    _canon_field_cache.clear()
-    _embed_root_cache.clear()

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import ffpoly
-from .exactarith import ExtFieldElem, PrimeFieldElem
 from .hecke import default_bound, eigensystems
 from .primes import primes_up_to
 from .qseries import dim_cusp
@@ -38,23 +37,6 @@ class CheckVerdict:
 
     def as_doc(self):
         return {"id": self.id, "verdict": self.verdict, "witness": self.witness}
-
-
-# --- element helpers (values are PrimeFieldElem or ExtFieldElem) -----------
-
-
-def _coords(v):
-    return (v.value,) if isinstance(v, PrimeFieldElem) else v.coeffs
-
-
-def _const_like(v, c):
-    if isinstance(v, PrimeFieldElem):
-        return PrimeFieldElem(v.p, c)
-    return ExtFieldElem(v.p, v.d, v.modulus, (c,) + (0,) * (v.d - 1))
-
-
-def _is_const(v, c):
-    return v == _const_like(v, c)
 
 
 def companion_exponent(p: int, k: int) -> int:
@@ -110,8 +92,8 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     L = lcm(fsys.d, gsys.d)
     embf, K = ffpoly.canonical_embedding(p, fsys.d, L)
     embg, _ = ffpoly.canonical_embedding(p, gsys.d, L)
-    fvals = {ell: embf(_coords(fsys.values[ell])) for ell in ells}
-    gvals = {ell: embg(_coords(gsys.values[ell])) for ell in ells}
+    fvals = {ell: embf(fsys.values[ell].coeffs) for ell in ells}
+    gvals = {ell: embg(gsys.values[ell].coeffs) for ell in ells}
     for j in range(L):
         if all(fvals[ell] == K.mul(K.from_int(pow(ell, e, p)), gvals[ell])
                for ell in ells):
@@ -171,13 +153,15 @@ def ord_irreducible(p: int, k: int, fsys, B_img: int) -> CheckVerdict:
     to be cyclotomic powers, so each candidate exponent split a needs a witness
     prime with a_l != l^a + l^(k-1-a)."""
     ells = [ell for ell in primes_up_to(min(B_img, fsys.B)) if ell != p]
+    K = ffpoly.canonical_field(p, fsys.d)
+    values = {ell: K.from_coords(fsys.values[ell].coeffs) for ell in ells}
     histogram = {}
     uncovered = []
     for a in range(p - 1):
         hit = None
         for ell in ells:
-            expected = (pow(ell, a, p) + pow(ell, (k - 1 - a) % (p - 1), p)) % p
-            if not _is_const(fsys.values[ell], expected):
+            expected = pow(ell, a, p) + pow(ell, (k - 1 - a) % (p - 1), p)
+            if values[ell] != K.from_int(expected):
                 hit = ell
                 break
         if hit is None:
@@ -213,7 +197,7 @@ def not_dihedral_ordinary(p: int, fsys, B_img: int) -> CheckVerdict:
             return CheckVerdict("image_not_dihedral", PASS, {
                 "witness_ell": ell,
                 "legendre": -1,
-                "a_ell": [str(c) for c in _coords(fsys.values[ell])],
+                "a_ell": [str(c) for c in fsys.values[ell].coeffs],
                 "p_star": p_star,
             })
     return CheckVerdict("image_not_dihedral", INCONCLUSIVE, {
@@ -226,19 +210,18 @@ def not_dihedral_ordinary(p: int, fsys, B_img: int) -> CheckVerdict:
 def not_exceptional_trace(p: int, k: int, fsys, B_img: int) -> CheckVerdict:
     """A projective trace invariant u = a_l^2 l^(1-k) outside the order-<=5
     locus {0, 1, 2, 4, roots of u^2-3u+1} witnesses non-exceptional image."""
+    K = ffpoly.canonical_field(p, fsys.d)
+    small = [K.from_int(c) for c in (0, 1, 2, 4)]
     for ell in [x for x in primes_up_to(min(B_img, fsys.B)) if x != p]:
-        scale = pow(ell, -(k - 1), p)
-        a = fsys.values[ell]
-        u = a * a * _const_like(a, scale)
-        if any(_is_const(u, c) for c in (0, 1, 2, 4)):
+        a = K.from_coords(fsys.values[ell].coeffs)
+        u = K.mul(K.mul(a, a), K.from_int(pow(ell, -(k - 1), p)))
+        if u in small:
             continue
-        three = _const_like(u, 3)
-        one = _const_like(u, 1)
-        if (u * u - three * u + one).is_zero():
+        if K.add(K.sub(K.mul(u, u), K.mul(K.from_int(3), u)), K.one) == K.zero:
             continue
         return CheckVerdict("image_not_exceptional", PASS, {
             "witness_ell": ell,
-            "u": [str(c) for c in _coords(u)],
+            "u": [str(c) for c in K.coords(u)],
         })
     return CheckVerdict("image_not_exceptional", INCONCLUSIVE, {
         "bound": min(B_img, fsys.B),

@@ -8,7 +8,6 @@ normalized eigenform expansion at precision p+1.  The full T_p matrix (which
 needs dim-times-larger precision) is kept only as a determinant oracle.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd as _gcd
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from . import cache as diskcache
 from . import ffpoly
-from .exactarith import DEFAULT_MAX_EXT_DEGREE, ExtFieldElem, PrimeFieldElem
+from .cache import memo
+from .exactarith import DEFAULT_MAX_EXT_DEGREE, ExtFieldElem
 from .fflinalg import mat_charpoly, mat_det, mat_lift, mat_nullspace, rref, solve_in_span
 from .primes import is_prime, primes_up_to
 from .qseries import PrecisionError, dim_cusp, miller_basis
@@ -90,44 +90,19 @@ def tp_det_modp(p: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# internal caches
+# basis rows and operator matrices
 
 
-class _LRU(OrderedDict):
-    def __init__(self, maxsize):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def put(self, key, value):
-        self[key] = value
-        self.move_to_end(key)
-        while len(self) > self.maxsize:
-            self.popitem(last=False)
-
-
-_rows_mem = _LRU(64)
-_raw_mem = _LRU(256)
-_sys_mem = _LRU(256)
-
-
-def clear_caches():
-    _rows_mem.clear()
-    _raw_mem.clear()
-    _sys_mem.clear()
-
-
+@memo(64)
 def _basis_rows(p, k, prec):
     """Mod-p Miller basis coefficient rows at the given precision (cached)."""
     key = (p, k, prec)
-    rows = _rows_mem.get(key)
+    dc = diskcache.get_cache()
+    rows = dc.get("basis", key) if dc else None
     if rows is None:
-        dc = diskcache.get_cache()
-        rows = dc.get("basis", key) if dc else None
-        if rows is None:
-            rows = [list(f.coeffs) for f in miller_basis(k, prec, p).forms]
-            if dc:
-                dc.put("basis", key, rows)
-        _rows_mem.put(key, rows)
+        rows = [list(f.coeffs) for f in miller_basis(k, prec, p).forms]
+        if dc:
+            dc.put("basis", key, rows)
     return rows
 
 
@@ -173,8 +148,7 @@ class EigenSystem:
         return not self.ap.is_zero()
 
     def as_doc(self):
-        coords = lambda e: [str(c) for c in
-                            (e.coeffs if isinstance(e, ExtFieldElem) else (e.value,))]
+        coords = lambda e: [str(c) for c in e.coeffs]
         return {
             "d": self.d,
             "mult": self.mult,
@@ -206,21 +180,16 @@ def _lift_elem(K2, a):
     return (a,) + (K2.base.zero,) * (K2.d - 1)
 
 
+@memo(256)
 def _raw_classes(p, k, B):
     """All mod-p eigen system classes on S_k with a_ell (ell <= B) and a_p.
 
     Returns (classes, semisimple, dim).  Classes live in ad-hoc tower fields;
     canonicalization into the (p, d)-canonical field happens separately.
     """
-    key = (p, k, B)
-    got = _raw_mem.get(key)
-    if got is not None:
-        return got
     d = dim_cusp(k)
     if d == 0:
-        result = ([], True, 0)
-        _raw_mem.put(key, result)
-        return result
+        return [], True, 0
     Fp = ffpoly.canonical_field(p, 1)
     prec0 = max(p + 2, 2 * d + 2, B + 2)
     rows0 = _basis_rows(p, k, prec0)
@@ -246,9 +215,7 @@ def _raw_classes(p, k, B):
     if not semisimple:
         for c in classes:
             c.degenerate = True
-    result = (classes, semisimple, d)
-    _raw_mem.put(key, result)
-    return result
+    return classes, semisimple, d
 
 
 def _refine(p, k, d, K, space, path, ells, idx, B, prec0):
@@ -412,27 +379,25 @@ def _canonical_system(p, k, raw, B, maxdeg):
     if D > maxdeg:
         return EigenSystem(p, k, D, {}, None, raw.mult,
                            not raw.degenerate, B, overflow=True)
-    if D == 1:
-        wrap = lambda x: PrimeFieldElem(p, x)
-    else:
-        ev, K_can = _embedding_to_canonical(raw.field)
-        modulus = ffpoly.canonical_modulus(p, D)
-        wrap = lambda x: ExtFieldElem(p, D, modulus, K_can.coords(ev(x)))
+    ev, K_can = _embedding_to_canonical(raw.field)
+    wrap = lambda x: ExtFieldElem(p, D, K_can.coords(ev(x)))
     values = {ell: wrap(v) for ell, v in sorted(raw.values.items())}
     return EigenSystem(p, k, D, values, wrap(raw.ap), raw.mult,
                        not raw.degenerate, B)
 
 
 def _system_from_doc(p, k, B, doc):
+    """Decode a cached eigen system; raises ValueError, KeyError or TypeError
+    when the entry does not have the shape `as_doc` writes for (p, k, B)."""
     d = doc["d"]
+    ells = [] if doc["overflow"] else [ell for ell in primes_up_to(B) if ell != p]
+    if set(doc["values"]) != {str(ell) for ell in ells}:
+        raise ValueError("cached eigen values are not keyed by the primes <= B")
 
     def elem(coords):
-        ints = [int(c) for c in coords]
-        if d == 1:
-            return PrimeFieldElem(p, ints[0])
-        return ExtFieldElem(p, d, ffpoly.canonical_modulus(p, d), tuple(ints))
+        return ExtFieldElem(p, d, tuple(int(c) for c in coords))
 
-    values = {int(ell): elem(c) for ell, c in doc["values"].items()}
+    values = {ell: elem(doc["values"][str(ell)]) for ell in ells}
     ap = None if doc["ap"] is None else elem(doc["ap"])
     return EigenSystem(p, k, d, values, ap, doc["mult"], doc["ss"], B,
                        overflow=doc["overflow"])
@@ -450,20 +415,23 @@ def eigensystems(p: int, k: int, B: int | None = None, *,
     if B < 2:
         raise ValueError("bound B must be >= 2")
     maxdeg = DEFAULT_MAX_EXT_DEGREE if max_degree is None else max_degree
+    return _systems(p, k, B, maxdeg)
+
+
+@memo(256)
+def _systems(p, k, B, maxdeg):
     key = (p, k, B, maxdeg)
-    got = _sys_mem.get(key)
-    if got is not None:
-        return got
     dc = diskcache.get_cache()
     doc = dc.get("eigsys", key) if dc else None
     if doc is not None:
-        systems = [_system_from_doc(p, k, B, item) for item in doc]
-    else:
-        raw, _ss, _d = _raw_classes(p, k, B)
-        systems = [_canonical_system(p, k, r, B, maxdeg) for r in raw]
-        if dc:
-            dc.put("eigsys", key, [s.as_doc() for s in systems])
-    _sys_mem.put(key, systems)
+        try:
+            return [_system_from_doc(p, k, B, item) for item in doc]
+        except (KeyError, TypeError, ValueError):
+            pass  # malformed entry: recompute and overwrite it
+    raw, _ss, _d = _raw_classes(p, k, B)
+    systems = [_canonical_system(p, k, r, B, maxdeg) for r in raw]
+    if dc:
+        dc.put("eigsys", key, [s.as_doc() for s in systems])
     return systems
 
 
@@ -506,11 +474,8 @@ def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
         V = np.array([K.coords(x) for x in r.vec], dtype=np.int64)
         R = np.array([row[:max(prec, 1)] for row in rows], dtype=np.int64)
         C = (R.T @ V) % p
-        if D == 1:
-            coeffs = [(int(c[0]),) for c in C[:prec]]
-        else:
-            ev, K_can = _embedding_to_canonical(K)
-            coeffs = [K_can.coords(ev(K.from_coords(tuple(int(x) for x in c))))
-                      for c in C[:prec]]
+        ev, K_can = _embedding_to_canonical(K)
+        coeffs = [K_can.coords(ev(K.from_coords(tuple(int(x) for x in c))))
+                  for c in C[:prec]]
         out.append({"d": D, "mult": r.mult, "coeffs": coeffs})
     return out

@@ -1,26 +1,22 @@
-"""Scans of primes and weights for ordinarity behavior.
+"""Non-ordinary weights of a prime.
 
 Finds the even weights 12 <= k < p carrying a mod-p eigen system with
-a_p = 0, applies the gcd(k-1, p+1) eligibility filter, and lists the primes
-where an eligible non-ordinary weight exists.
+a_p = 0 and splits them by the gcd(k-1, p+1) eligibility filter; the
+non-ordinary certificate is built from that split.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
 from .hecke import ap_profile
-from .primes import is_prime, primes_up_to
+from .primes import is_prime
 from .qseries import dim_cusp
-
-
-def _check_p(p):
-    if not is_prime(p) or p <= 13:
-        raise ValueError("p must be a prime > 13")
 
 
 def nonordinary_weights(p: int) -> list:
     """Even weights 12 <= k < p with some mod-p eigen system having a_p = 0."""
-    _check_p(p)
+    if not is_prime(p) or p <= 5:
+        raise ValueError("p must be a prime > 5")
     out = []
     for k in range(12, p, 2):
         if dim_cusp(k) == 0:
@@ -50,16 +46,3 @@ def eligible_nonordinary(p: int) -> EligibilityRow:
         else:
             ineligible.append((k, g))
     return EligibilityRow(p, tuple(eligible), tuple(ineligible))
-
-
-def scan_nonordinary(pmax: int) -> list:
-    """Ascending primes p <= pmax with a gcd-eligible non-ordinary weight k < p."""
-    if pmax < 17:
-        raise ValueError("pmax must be >= 17")
-    out = []
-    for p in primes_up_to(pmax):
-        if p <= 13:
-            continue
-        if eligible_nonordinary(p).eligible:
-            out.append(p)
-    return out

@@ -39,8 +39,3 @@ def primes_up_to(n: int) -> list:
             start = p * p
             sieve[start:n + 1:p] = bytearray(len(range(start, n + 1, p)))
     return [i for i in range(n + 1) if sieve[i]]
-
-
-def primes_in(lo: int, hi: int) -> list:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in primes_up_to(hi) if p >= lo]

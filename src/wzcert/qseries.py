@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache import memo
+
 
 class PrecisionError(ValueError):
     """Requested operation needs more known coefficients than available."""
@@ -172,28 +174,17 @@ class MillerBasis:
         return [list(f.coeffs) for f in self.forms]
 
 
-# power tables keyed by (p-or-None, prec); grown lazily per requested power
-_power_cache = {}
-
-
-def clear_caches():
-    _power_cache.clear()
-
-
+@memo()
 def _tables(p, prec):
-    key = (p, prec)
-    tab = _power_cache.get(key)
-    if tab is None:
-        one = [1] + [0] * (prec - 1)
-        tab = {
-            "E4": list(eisenstein(4, prec, p).coeffs),
-            "E6": list(eisenstein(6, prec, p).coeffs),
-            "D": list(delta(prec, p).coeffs),
-            "E4pow": {0: one},
-            "Dpow": {0: one},
-        }
-        _power_cache[key] = tab
-    return tab
+    """Power tables for (p-or-None, prec); _power grows them lazily in place."""
+    one = [1] + [0] * (prec - 1)
+    return {
+        "E4": list(eisenstein(4, prec, p).coeffs),
+        "E6": list(eisenstein(6, prec, p).coeffs),
+        "D": list(delta(prec, p).coeffs),
+        "E4pow": {0: one},
+        "Dpow": {0: one},
+    }
 
 
 def _power(p, prec, name, n):

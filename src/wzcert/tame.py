@@ -12,8 +12,6 @@ enumeration.
 from dataclasses import dataclass
 from math import gcd
 
-from .exactarith import ExponentResidue
-
 
 @dataclass(frozen=True)
 class TameChar:
@@ -36,11 +34,6 @@ class TameChar:
             object.__setattr__(self, "e", min(e, e * self.p % M))
         else:
             raise ValueError("level must be 1 or 2")
-
-    @property
-    def exponent(self):
-        M = self.p - 1 if self.level == 1 else self.p * self.p - 1
-        return ExponentResidue(M, self.e)
 
     def pair(self):
         """The conjugate exponent pair for level 2."""
@@ -197,20 +190,6 @@ def rho_pm_independent(p: int, m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     return type_equal(rho_nm_inertial(p, p, m), rho_nm_inertial(p, p, 1))
-
-
-@dataclass(frozen=True)
-class OrdinaryLocalData:
-    """Unramified unit-root datum of an ordinary local representation; by
-    convention alpha is a_p mod p.  Only alpha != 0 is contractual."""
-
-    p: int
-    k: int
-    alpha: object
-
-    def __post_init__(self):
-        if self.alpha.is_zero():
-            raise ValueError("unit root must be nonzero")
 
 
 @dataclass(frozen=True)

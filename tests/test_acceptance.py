@@ -26,9 +26,7 @@ def announce(n, ok, detail=""):
 
 def fresh_run(tmpdir, jobs):
     cache.set_cache(DiskCache(str(tmpdir)))
-    hecke.clear_caches()
-    qseries.clear_caches()
-    ffpoly.clear_caches()
+    cache.clear_memos()
     t0 = time.time()
     nonord = cf.scan_report(200, "nonordinary", jobs=jobs)
     ordin = cf.scan_report(180, "ordinary", jobs=jobs)

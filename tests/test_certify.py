@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from wzcert import certify as cf, cli, hecke, qseries
+from wzcert import cache, certify as cf, cli
 from wzcert.galoischecks import companion_match
 from wzcert.hecke import eigensystems
 
@@ -121,8 +121,7 @@ def test_scan_report_small():
 
 def test_emit_deterministic():
     a = cf.emit_certificate(cf.certify_nonordinary(59))
-    hecke.clear_caches()
-    qseries.clear_caches()
+    cache.clear_memos()
     b = cf.emit_certificate(cf.certify_nonordinary(59))
     assert a == b
 
@@ -134,8 +133,7 @@ def test_cache_corruption_recovers(isolated_cache):
     assert victims
     with open(os.path.join(root, victims[0]), "w") as fh:
         fh.write("{corrupt")
-    hecke.clear_caches()
-    qseries.clear_caches()
+    cache.clear_memos()
     cert = cf.certify_nonordinary(59)
     assert cert.conclusion == cf.REJECTED
 

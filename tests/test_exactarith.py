@@ -1,76 +1,27 @@
+"""The eigenvalue type and the canonical fields and factorization behind it."""
+
 import random
 
 import pytest
 
 from wzcert import ffpoly
-from wzcert.exactarith import (DEFAULT_MAX_EXT_DEGREE, ExponentResidue,
-                               ExtDegreeError, ExtFieldElem, PrimeFieldElem,
-                               ext_field, factor_univariate, gcd,
-                               legendre_symbol)
+from wzcert.cache import clear_memos
+from wzcert.exactarith import ExtFieldElem
 from wzcert.primes import primes_up_to
 
 
-def test_gcd_examples():
-    assert gcd(25, 106) == 1
-    assert gcd(37, 80) == 1
-    assert gcd(15, 60) == 15
-
-
-def test_gcd_brute_force_grid():
-    for a in range(0, 201, 7):
-        for b in range(0, 201, 3):
-            g = gcd(a, b)
-            if a == b == 0:
-                assert g == 0
-                continue
-            assert g > 0 and a % g == 0 and b % g == 0
-            for c in range(g + 1, min(a or b, b or a) + 1):
-                if c > g and a % c == 0 and b % c == 0:
-                    raise AssertionError(f"{c} is a larger common divisor")
-    assert gcd(-12, 18) == 6
-    assert gcd(12, -18) == 6
-
-
-def test_legendre_examples():
-    assert legendre_symbol(2, 107) == -1
-    for p in (7, 11, 97, 107):
-        assert legendre_symbol(1, p) == 1
-    assert legendre_symbol(3, 7) == -1
-
-
-def test_legendre_against_square_enumeration():
-    for p in (7, 11, 13, 17, 19, 23):
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre_symbol(a, p) == expected
-
-
-def test_legendre_errors():
-    for bad in (2, 9, 15, 1):
-        with pytest.raises(ValueError):
-            legendre_symbol(3, bad)
-
-
 def test_ext_field_canonical_moduli():
-    assert ext_field(3, 2).modulus == (1, 0, 1)     # x^2 + 1
-    assert ext_field(5, 2).modulus == (2, 0, 1)     # x^2 + 2
-    K = ext_field(7, 1)
+    assert ffpoly.canonical_field(3, 2).modulus == (1, 0, 1)     # x^2 + 1
+    assert ffpoly.canonical_field(5, 2).modulus == (2, 0, 1)     # x^2 + 2
+    K = ffpoly.canonical_field(7, 1)
     assert K.degree == 1 and K.order == 7
 
 
 def test_ext_field_determinism():
-    m1 = ext_field(11, 3).modulus
-    ffpoly.clear_caches()
-    m2 = ext_field(11, 3).modulus
+    m1 = ffpoly.canonical_field(11, 3).modulus
+    clear_memos()
+    m2 = ffpoly.canonical_field(11, 3).modulus
     assert m1 == m2
-
-
-def test_ext_field_degree_cap():
-    with pytest.raises(ExtDegreeError):
-        ext_field(7, DEFAULT_MAX_EXT_DEGREE + 1)
-    K = ext_field(7, 9, max_degree=9)
-    assert K.degree == 9
 
 
 def test_ext_field_moduli_are_irreducible():
@@ -97,19 +48,20 @@ def test_field_axioms_random():
                 assert K.mul(a, K.inv(a)) == K.one
 
 
+def factor(p, coeffs):
+    return ffpoly.factor_monic(ffpoly.canonical_field(p, 1), tuple(coeffs))
+
+
 def test_factor_examples():
-    assert factor_univariate(5, (4, 0, 1)) == [((1, 1), 1), ((4, 1), 1)]
-    assert factor_univariate(3, (1, 0, 1)) == [((1, 0, 1), 1)]
-    assert factor_univariate(2, (0, 1, 0, 1)) == [((0, 1), 1), ((1, 1), 2)]
+    assert factor(5, (4, 0, 1)) == [((1, 1), 1), ((4, 1), 1)]
+    assert factor(3, (1, 0, 1)) == [((1, 0, 1), 1)]
+    assert factor(2, (0, 1, 0, 1)) == [((0, 1), 1), ((1, 1), 2)]
 
 
 def test_factor_validation():
-    with pytest.raises(ValueError):
-        factor_univariate(5, (1,))
-    with pytest.raises(ValueError):
-        factor_univariate(5, (1, 2))   # not monic
-    with pytest.raises(ValueError):
-        factor_univariate(6, (1, 0, 1))
+    for constant in ((1,), ()):
+        with pytest.raises(ValueError):
+            factor(5, constant)
 
 
 def test_factor_product_reconstruction():
@@ -122,16 +74,16 @@ def test_factor_product_reconstruction():
         F = ffpoly.canonical_field(p, 1)
         f = tuple(coeffs)
         prod = (1,)
-        for g, mult in factor_univariate(p, f):
+        for g, mult in factor(p, f):
             for _ in range(mult):
                 prod = ffpoly.pmul(F, prod, g)
         assert prod == ffpoly.ptrim(F, f)
-        for g, _ in factor_univariate(p, f):
+        for g, _ in factor(p, f):
             assert g[-1] == 1
 
 
 def test_factor_sorted_canonically():
-    out = factor_univariate(7, (6, 0, 0, 0, 0, 0, 1))   # x^6 - 1 splits
+    out = factor(7, (6, 0, 0, 0, 0, 0, 1))   # x^6 - 1 splits
     degs = [len(g) - 1 for g, _ in out]
     assert degs == sorted(degs)
     keys = [g for g, _ in out]
@@ -139,29 +91,28 @@ def test_factor_sorted_canonically():
 
 
 def test_prime_field_elem():
-    a = PrimeFieldElem(107, -48)
-    assert a.value == 59
-    b = PrimeFieldElem(107, 50)
-    assert (a + b).value == 2
-    assert (a * b).value == 59 * 50 % 107
-    assert (a.inv() * a).value == 1
-    assert not a.is_zero() and PrimeFieldElem(107, 0).is_zero()
-    with pytest.raises(ValueError):
-        PrimeFieldElem(10, 3)
+    a = ExtFieldElem(107, 1, (59,))
+    b = ExtFieldElem(107, 1, (50,))
+    F = a.field()
+    assert F is ffpoly.canonical_field(107, 1)
+    x, y = F.from_coords(a.coeffs), F.from_coords(b.coeffs)
+    assert F.add(x, y) == 2 and F.mul(x, y) == 59 * 50 % 107
+    assert F.mul(F.inv(x), x) == 1
+    assert not a.is_zero() and ExtFieldElem(107, 1, (0,)).is_zero()
+    assert a == ExtFieldElem(107, 1, (59,)) and a != b
+    for bad in ((-48,), (107,), (1, 0)):
+        with pytest.raises(ValueError):
+            ExtFieldElem(107, 1, bad)
 
 
 def test_ext_field_elem_requires_canonical_modulus():
+    x = ExtFieldElem(5, 2, (0, 1))
+    K = x.field()
+    assert K.modulus == (2, 0, 1)      # the canonical x^2 + 2
+    g = K.from_coords(x.coeffs)
+    assert K.coords(K.mul(g, g)) == (3, 0)    # x^2 = -2 = 3
+    assert K.coords(K.mul(g, K.inv(g))) == (1, 0)
     with pytest.raises(ValueError):
-        ExtFieldElem(5, 2, (3, 0, 1), (1, 1))
-    x = ExtFieldElem(5, 2, (2, 0, 1), (0, 1))
-    assert (x * x).coeffs == (3, 0)    # x^2 = -2 = 3
-    assert (x * x.inv()).coeffs == (1, 0)
-
-
-def test_exponent_residue():
-    r = ExponentResidue(106, 231)
-    assert r.e == 231 % 106
-    assert (r + ExponentResidue(106, 1)).e == (232) % 106
-    assert r.scaled(3).e == 693 % 106
+        ExtFieldElem(5, 2, (1,))
     with pytest.raises(ValueError):
-        r + ExponentResidue(60, 1)
+        ExtFieldElem(5, 0, ())

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from wzcert import ffpoly, hecke
+from wzcert import cache, certify as cf, ffpoly, hecke, qseries
+from wzcert.cache import DiskCache
 from wzcert.qseries import PrecisionError, delta, dim_cusp
 
 
@@ -44,8 +47,8 @@ def test_eigensystems_107_26():
     assert len(systems) == 1
     s = systems[0]
     assert s.d == 1 and s.mult == 1 and s.semisimple_action
-    assert s.values[2].value == (-48) % 107 == 59
-    assert s.ap.value == 106
+    assert s.values[2].coeffs == ((-48) % 107,) == (59,)
+    assert s.ap.coeffs == (106,)
     assert s.ordinary is True
 
 
@@ -77,7 +80,7 @@ def test_eigensystem_degree_overflow_marker():
 def test_eigenvalues_live_in_canonical_field():
     s = next(s for s in hecke.eigensystems(41, 24, 13) if s.d == 2)
     a2 = s.values[2]
-    assert a2.modulus == ffpoly.canonical_modulus(41, 2)
+    assert a2.field() is ffpoly.canonical_field(41, 2)
     # a_2 + Frob(a_2) must be the trace of the exact T_2 matrix mod 41
     exact = hecke.hecke_matrix(24, 2).entries
     trace = sum(exact[i][i] for i in range(2)) % 41
@@ -116,7 +119,7 @@ def test_dim1_exact_consistency():
     for k in (12, 16, 18, 20, 22, 26):
         for p in (11, 17, 29, 43, 107):
             s = hecke.eigensystems(p, k, 13)[0]
-            assert s.ap.value == hecke.exact_ap_dim1(k, p) % p
+            assert s.ap.coeffs == (hecke.exact_ap_dim1(k, p) % p,)
 
 
 def test_multiplicativity_a6():
@@ -140,9 +143,57 @@ def test_expansions_normalized():
 
 def test_disk_cache_roundtrip():
     a = hecke.eigensystems(43, 24, 13)
-    hecke.clear_caches()
+    cache.clear_memos()
     b = hecke.eigensystems(43, 24, 13)   # served from disk
     assert a == b
+
+
+def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
+    cache.set_cache(DiskCache(str(tmp_path)))   # empty: every layer computes
+    try:
+        hecke.eigensystems(41, 24, 13)
+        ffpoly.canonical_embedding(13, 2, 4)
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+    memos = [hecke._basis_rows, hecke._raw_classes, hecke._systems,
+             ffpoly.canonical_modulus, ffpoly.canonical_field, ffpoly.embed_root,
+             ffpoly.canonical_embedding, qseries._tables]
+    assert all(m in cache._memos for m in memos)
+    assert [m for m in memos if not m.cache_info().currsize] == []
+    cache.clear_memos()
+    assert [m for m in cache._memos if m.cache_info().currsize] == []
+
+
+def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache):
+    # the key certify_ordinary(107) uses for weight 26
+    key = (107, 26, 13, 8)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = hecke.eigensystems(107, 26, 13, max_degree=8)
+        path = disk._path("eigsys", key)
+        with open(path, encoding="ascii") as fh:
+            good = fh.read()
+        item = json.loads(good)["value"][0]
+        damaged = [
+            dict(item, values={e: v for e, v in item["values"].items() if e != "13"}),
+            dict(item, values=dict(item["values"], **{"17": ["1"]})),
+            dict(item, values=dict(item["values"], **{"2": ["59", "0"]})),
+            dict(item, values=dict(item["values"], **{"2": ["166"]})),
+            dict(item, ap=["-1"]),
+        ]
+        for bad in damaged:
+            disk.put("eigsys", key, [bad])
+            cache.clear_memos()
+            assert hecke.eigensystems(107, 26, 13, max_degree=8) == fresh
+            with open(path, encoding="ascii") as fh:
+                assert fh.read() == good
+        disk.put("eigsys", key, [damaged[0]])
+        cache.clear_memos()
+        assert cf.certify_ordinary(107).conclusion == cf.CERTIFIED
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
 
 
 def test_semisimple_bookkeeping():
@@ -161,7 +212,7 @@ def test_value_field_degree_is_minimal():
             K = ffpoly.canonical_field(p, s.d)
             degs = []
             for v in list(s.values.values()) + [s.ap]:
-                raw = K.from_coords(v.coeffs if s.d > 1 else (v.value,))
+                raw = K.from_coords(v.coeffs)
                 t = 1
                 x = K.frob(raw)
                 while x != raw:

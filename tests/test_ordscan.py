@@ -1,8 +1,8 @@
 import pytest
 
 from wzcert import hecke
-from wzcert.ordscan import (eligible_nonordinary, nonordinary_weights,
-                            scan_nonordinary)
+from wzcert.ordscan import eligible_nonordinary, nonordinary_weights
+from wzcert.primes import primes_up_to
 
 
 def test_nonordinary_weights_anchors():
@@ -28,11 +28,10 @@ def test_eligibility_rows():
 
 
 def test_scan_prefix_and_anchors():
-    assert scan_nonordinary(85) == [79]
-    s100 = scan_nonordinary(100)
-    assert s100 == [79]
-    s110 = scan_nonordinary(110)
-    assert s110[:len(s100)] == s100
+    # 79 is the only prime <= 110 with a gcd-eligible non-ordinary weight
+    with_eligible = [p for p in primes_up_to(110)
+                     if p > 5 and eligible_nonordinary(p).eligible]
+    assert with_eligible == [79]
 
 
 def test_recomputation_confirms_nonordinary():
@@ -42,8 +41,8 @@ def test_recomputation_confirms_nonordinary():
 
 
 def test_preconditions():
-    for bad in (13, 12, 15):
+    for bad in (5, 12, 15):
         with pytest.raises(ValueError):
             nonordinary_weights(bad)
-    with pytest.raises(ValueError):
-        scan_nonordinary(16)
+    # tau(13) = -577738 = 8 mod 13: the only weight below 13 is ordinary
+    assert nonordinary_weights(13) == []

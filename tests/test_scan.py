@@ -6,7 +6,7 @@ import multiprocessing
 
 import pytest
 
-from wzcert import cache, certify as cf, cli, ffpoly, hecke, qseries
+from wzcert import cache, certify as cf, cli, hecke
 from wzcert.cache import DiskCache
 from wzcert.primes import primes_up_to
 
@@ -16,9 +16,7 @@ def fresh_caches(tmp_path, isolated_cache):
     """Returns reset(name): empty in-memory memos and a new disk cache."""
     def reset(name):
         cache.set_cache(DiskCache(str(tmp_path / name)))
-        hecke.clear_caches()
-        qseries.clear_caches()
-        ffpoly.clear_caches()
+        cache.clear_memos()
     yield reset
     cache.set_cache(DiskCache(str(isolated_cache)))
 
@@ -89,17 +87,17 @@ def test_both_mode_cli_matches_single_mode_scans(tmp_path, fresh_caches):
 def test_both_mode_scan_decomposes_each_weight_once(tmp_path, fresh_caches,
                                                     monkeypatch):
     fresh_caches("cache")
-    decomposed = []
+    requested = set()
     raw_classes = hecke._raw_classes
 
     def recording(p, k, B):
-        if (p, k, B) not in hecke._raw_mem:
-            decomposed.append((p, k, B))
+        requested.add((p, k, B))
         return raw_classes(p, k, B)
     monkeypatch.setattr(hecke, "_raw_classes", recording)
     assert cli.main(["scan", "--pmax", "90", "--mode", "both", "--jobs", "1",
                      "--out", str(tmp_path / "scan.json")]) == 0
+    info = raw_classes.cache_info()
     # more weights than the in-memory memo holds, so a second pass over the
     # primes would find the early ones evicted
-    assert len(set(decomposed)) > hecke._raw_mem.maxsize
-    assert len(decomposed) == len(set(decomposed))
+    assert len(requested) > info.maxsize
+    assert info.misses == len(requested)
