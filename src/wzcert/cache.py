@@ -1,4 +1,4 @@
-"""Best-effort disk cache for computed bases and eigen systems, and the
+"""Best-effort disk cache for computed a_p profiles and eigen systems, and the
 registry of in-process memos.
 
 Entries are canonical JSON files keyed by their parameters and the tool

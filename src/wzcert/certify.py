@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import TOOL_VERSION
-from .exactarith import DEFAULT_MAX_EXT_DEGREE
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
 from .hecke import default_bound, eigensystems, exact_ap_dim1
@@ -62,11 +61,6 @@ def _check_prime(p):
         raise ValueError("certification requires a prime p > 5")
 
 
-def _ext_cap(k):
-    # large enough that no class in S_k can overflow
-    return max(DEFAULT_MAX_EXT_DEGREE, dim_cusp(k))
-
-
 def _candidate_conclusion(checks):
     verdicts = [c["verdict"] for c in checks]
     if any(v == FAIL for v in verdicts):
@@ -111,10 +105,10 @@ def _split_pair_survey(p, B):
         kk = p + 1 - k
         if dim_cusp(k) == 0 or kk < 12 or dim_cusp(kk) == 0:
             continue
-        for sys in eigensystems(p, k, B, max_degree=_ext_cap(k)):
-            if sys.ordinary is not True:
+        for sys in eigensystems(p, k, B):
+            if not sys.ordinary:
                 continue
-            found = companion_match(p, k, sys, B, max_degree=_ext_cap(kk))
+            found = companion_match(p, k, sys, B)
             if found is None:
                 continue
             gsys, e, _j = found
@@ -130,15 +124,16 @@ def _split_pair_survey(p, B):
     return pairs
 
 
-def _bounds(p, B_img, strict):
+def _bounds(p, B_img):
     """(B, B_img, B_use, bounds doc): the companion bound B, the image bound
     and the bound the eigen systems are computed to."""
     B = default_bound(p)
-    if strict:
-        B = max(B, (p + 1) // 12 + 2)  # equal to the default bound by design
     B_img = B if B_img is None else B_img
     B_use = max(B, B_img)
-    bounds = {"B": B_use, "B_img": B_img, "strict": strict,
+    # certificate format v1 keeps two constant fields: the default bound is
+    # already the Sturm-scale one ("strict"), and every class is computed in
+    # full, whatever its degree ("ext_degree_cap")
+    bounds = {"B": B_use, "B_img": B_img, "strict": False,
               "ext_degree_cap": "max(8, dim)"}
     return B, B_img, B_use, bounds
 
@@ -159,17 +154,15 @@ def _candidate(k, n_values, sys, checks):
     }
 
 
-def certify_ordinary(p: int, B_img: int | None = None,
-                     strict: bool = False) -> Certificate:
+def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
     """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
     _check_prime(p)
-    B, B_img, B_use, bounds = _bounds(p, B_img, strict)
+    B, B_img, B_use, bounds = _bounds(p, B_img)
     candidates = []
     for k in range(12, p, 2):
         if gcd(k - 1, p - 1) != 1 or dim_cusp(k) == 0:
             continue
-        systems = [s for s in eigensystems(p, k, B_use, max_degree=_ext_cap(k))
-                   if s.ordinary is True]
+        systems = [s for s in eigensystems(p, k, B_use) if s.ordinary]
         if not systems:
             continue
         # the tame shape depends on (p, k, n) only
@@ -182,23 +175,21 @@ def certify_ordinary(p: int, B_img: int | None = None,
                 _gcd_check(k, p - 1, "p-1"),
                 CheckVerdict("ordinary_at_p", PASS, ord_witness),
                 large_image_verdict(p, k, sys, "ordinary", B_img),
-                split_verdict(p, k, sys, B, max_degree=_ext_cap(p + 1 - k)),
+                split_verdict(p, k, sys, B),
             ] + lifts
             candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
     return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
                        split_pairs=_split_pair_survey(p, B_use))
 
 
-def certify_nonordinary(p: int, B_img: int | None = None,
-                        strict: bool = False) -> Certificate:
+def certify_nonordinary(p: int, B_img: int | None = None) -> Certificate:
     """Certificate for the non-ordinary regime at p (target n = p)."""
     _check_prime(p)
-    _B, B_img, B_use, bounds = _bounds(p, B_img, strict)
+    _B, B_img, B_use, bounds = _bounds(p, B_img)
     rows = eligible_nonordinary(p)
     candidates = []
     for k, g in sorted(rows.eligible + rows.ineligible):
-        systems = [s for s in eigensystems(p, k, B_use, max_degree=_ext_cap(k))
-                   if s.ordinary is False]
+        systems = [s for s in eigensystems(p, k, B_use) if not s.ordinary]
         if not systems:
             continue
         lift = _lift_verdict(lift_check_nonordinary(p, k))
@@ -215,12 +206,11 @@ def certify_nonordinary(p: int, B_img: int | None = None,
     return Certificate(p, "nonordinary", _aggregate(candidates), candidates, bounds)
 
 
-def certify(p: int, mode: str, B_img: int | None = None,
-            strict: bool = False) -> Certificate:
+def certify(p: int, mode: str, B_img: int | None = None) -> Certificate:
     if mode == "ordinary":
-        return certify_ordinary(p, B_img, strict)
+        return certify_ordinary(p, B_img)
     if mode == "nonordinary":
-        return certify_nonordinary(p, B_img, strict)
+        return certify_nonordinary(p, B_img)
     raise ValueError("mode must be ordinary or nonordinary")
 
 
@@ -335,13 +325,3 @@ def emit_report(report: ScanReport, destination=None) -> str:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write(text)
     return text
-
-
-def parse_report(text: str) -> ScanReport:
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT_REPORT:
-        raise ValueError("not a scan report document")
-    certs = [Certificate(c["p"], c["mode"], c["conclusion"], c["candidates"],
-                         c["bounds"], c.get("split_pairs", []), c["toolversion"])
-             for c in doc["certificates"]]
-    return ScanReport(doc["mode"], doc["pmax"], doc["certified"], certs)

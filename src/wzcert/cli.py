@@ -26,8 +26,6 @@ def _build_parser():
     c.add_argument("--out", help="write the certificate JSON to this path")
     c.add_argument("--bimg", type=int, default=None,
                    help="witness-search bound for image checks")
-    c.add_argument("--strict", action="store_true",
-                   help="raise the congruence bound to the Sturm-scale value")
 
     s = sub.add_parser("scan", help="certify all primes up to a bound")
     s.add_argument("--pmax", type=int, required=True)
@@ -43,8 +41,6 @@ def _build_parser():
     e.add_argument("--prec", type=int, required=True)
     e.add_argument("--modp", type=int, default=None,
                    help="print mod-p eigen system expansions")
-    e.add_argument("--exact", action="store_true",
-                   help="exact integers (requires a one-dimensional space)")
 
     t = sub.add_parser("tame", help="print inertial multisets and lift verdict")
     t.add_argument("--p", type=int, required=True)
@@ -55,8 +51,7 @@ def _build_parser():
 
 
 def _cmd_certify(args):
-    cert = certify_mod.certify(args.p, args.mode, B_img=args.bimg,
-                               strict=args.strict)
+    cert = certify_mod.certify(args.p, args.mode, B_img=args.bimg)
     text = certify_mod.emit_certificate(cert, args.out)
     if args.out:
         print(f"{args.mode} certificate for p={args.p}: {cert.conclusion} "
@@ -97,8 +92,6 @@ def _cmd_eigenform(args):
         for n, c in enumerate(form.coeffs):
             print(f"{n} {c}")
         return 0
-    if args.exact:
-        raise SystemExit2("--exact and --modp are mutually exclusive")
     blocks = hecke.expansions(p, k, prec)
     if not blocks:
         print(f"# no cusp forms in weight {k}")

@@ -1,5 +1,5 @@
 """The eigenvalue type: an element of the canonical field GF(p^d), stored as
-its coordinates, together with the default extension-degree cap.
+its coordinates.
 
 Arithmetic on these values is done in `ffpoly.canonical_field(p, d)` on raw
 field elements; this type only carries validated coordinates between the
@@ -9,8 +9,6 @@ eigen system computation, the disk cache and the certificates.
 from dataclasses import dataclass
 
 from . import ffpoly
-
-DEFAULT_MAX_EXT_DEGREE = 8
 
 
 @dataclass(frozen=True)

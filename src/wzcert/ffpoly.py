@@ -653,29 +653,6 @@ def _lift_poly(K, f_over_prime):
     return ptrim(K, [K.from_int(c) for c in f_over_prime])
 
 
-@memo()
-def canonical_embedding(p, d1, d2):
-    """(map, K2): evaluate degree-d1 canonical coordinates inside canonical
-    GF(p^d2); d1 must divide d2.  The map takes a coords tuple of length d1."""
-    if d2 % d1:
-        raise ValueError("d1 must divide d2")
-    K2 = canonical_field(p, d2)
-    if d1 == 1:
-        fn = lambda coords: K2.from_int(coords[0])
-    elif d1 == d2:
-        fn = K2.from_coords
-    else:
-        r = embed_root(canonical_modulus(p, d1), K2)
-
-        def fn(coords, _r=r, _K=K2):
-            acc = _K.zero
-            for c in reversed(coords):
-                acc = _K.add(_K.mul(acc, _r), _K.from_int(c))
-            return acc
-
-    return fn, K2
-
-
 def split_roots(K, f):
     """All roots in K of monic squarefree f over K that splits completely in K.
 

@@ -13,7 +13,7 @@ p = 107.
 """
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from . import ffpoly
 from .hecke import default_bound, eigensystems
@@ -23,10 +23,6 @@ from .qseries import dim_cusp
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-class DegreeOverflowError(RuntimeError):
-    """A needed eigen system exceeded the extension-degree cap."""
 
 
 @dataclass(frozen=True)
@@ -44,17 +40,14 @@ def companion_exponent(p: int, k: int) -> int:
     return (k - 1) % (p - 1)
 
 
-def companion_match(p: int, k: int, fsys, B: int | None = None, *,
-                    max_degree: int | None = None):
+def companion_match(p: int, k: int, fsys, B: int | None = None):
     """Search weight p+1-k for a companion of fsys.
 
     Returns (companion EigenSystem, exponent, frobenius_power) or None; the
     weight-(p+1-k) space may be empty (no cuspidal companion exists), in which
-    case None is returned as well.  Raises DegreeOverflowError when a system
-    in the target weight cannot be compared because its value field exceeds
-    the extension-degree cap.
+    case None is returned as well.
     """
-    if fsys.ordinary is not True:
+    if not fsys.ordinary:
         raise ValueError("companion search requires an ordinary system")
     if k < 12:
         raise ValueError("k must be at least 12")
@@ -65,18 +58,10 @@ def companion_match(p: int, k: int, fsys, B: int | None = None, *,
         B = default_bound(p)
     e = companion_exponent(p, k)
     ells = [ell for ell in primes_up_to(min(B, fsys.B)) if ell != p]
-    targets = eigensystems(p, kk, B, max_degree=max_degree)
-    overflow_seen = False
-    for gsys in targets:
-        if gsys.overflow:
-            overflow_seen = True
-            continue
+    for gsys in eigensystems(p, kk, B):
         j = _twisted_equal(p, e, fsys, gsys, ells)
         if j is not None:
             return gsys, e, j
-    if overflow_seen:
-        raise DegreeOverflowError(
-            f"weight {kk} has eigen systems beyond the extension-degree cap")
     return None
 
 
@@ -89,12 +74,10 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     """
     if fsys.d != gsys.d:
         return None
-    L = lcm(fsys.d, gsys.d)
-    embf, K = ffpoly.canonical_embedding(p, fsys.d, L)
-    embg, _ = ffpoly.canonical_embedding(p, gsys.d, L)
-    fvals = {ell: embf(fsys.values[ell].coeffs) for ell in ells}
-    gvals = {ell: embg(gsys.values[ell].coeffs) for ell in ells}
-    for j in range(L):
+    K = ffpoly.canonical_field(p, fsys.d)
+    fvals = {ell: K.from_coords(fsys.values[ell].coeffs) for ell in ells}
+    gvals = {ell: K.from_coords(gsys.values[ell].coeffs) for ell in ells}
+    for j in range(fsys.d):
         if all(fvals[ell] == K.mul(K.from_int(pow(ell, e, p)), gvals[ell])
                for ell in ells):
             return j
@@ -102,15 +85,14 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     return None
 
 
-def split_verdict(p: int, k: int, fsys, B: int | None = None, *,
-                  max_degree: int | None = None) -> CheckVerdict:
+def split_verdict(p: int, k: int, fsys, B: int | None = None) -> CheckVerdict:
     """PASS iff a companion system exists in weight p+1-k.
 
     A PASS is rigorous modulo the companion-form criterion for local
     semisimplicity and the stated congruence bound; a FAIL records an
     exhaustive search of the cuspidal target space.
     """
-    if fsys.ordinary is not True:
+    if not fsys.ordinary:
         raise ValueError("split verdict requires an ordinary system")
     kk = p + 1 - k
     if B is None:
@@ -122,17 +104,11 @@ def split_verdict(p: int, k: int, fsys, B: int | None = None, *,
             "reason": "no cusp forms in the companion weight; unramified-twist "
                       "companions outside the cuspidal range are not searched",
         })
-    try:
-        found = companion_match(p, k, fsys, B, max_degree=max_degree)
-    except DegreeOverflowError as exc:
-        return CheckVerdict("companion_split", INCONCLUSIVE, {
-            "companion_weight": kk,
-            "reason": str(exc),
-        })
+    found = companion_match(p, k, fsys, B)
     if found is None:
         return CheckVerdict("companion_split", FAIL, {
             "companion_weight": kk,
-            "searched_systems": len(eigensystems(p, kk, B, max_degree=max_degree)),
+            "searched_systems": len(eigensystems(p, kk, B)),
             "bound": B,
         })
     gsys, e, j = found

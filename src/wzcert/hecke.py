@@ -16,7 +16,7 @@ import numpy as np
 from . import cache as diskcache
 from . import ffpoly
 from .cache import memo
-from .exactarith import DEFAULT_MAX_EXT_DEGREE, ExtFieldElem
+from .exactarith import ExtFieldElem
 from .fflinalg import mat_charpoly, mat_det, mat_lift, mat_nullspace, rref, solve_in_span
 from .primes import is_prime, primes_up_to
 from .qseries import PrecisionError, dim_cusp, miller_basis
@@ -95,15 +95,8 @@ def tp_det_modp(p: int, k: int) -> int:
 
 @memo(64)
 def _basis_rows(p, k, prec):
-    """Mod-p Miller basis coefficient rows at the given precision (cached)."""
-    key = (p, k, prec)
-    dc = diskcache.get_cache()
-    rows = dc.get("basis", key) if dc else None
-    if rows is None:
-        rows = [list(f.coeffs) for f in miller_basis(k, prec, p).forms]
-        if dc:
-            dc.put("basis", key, rows)
-    return rows
+    """Mod-p Miller basis coefficient rows at the given precision."""
+    return [list(f.coeffs) for f in miller_basis(k, prec, p).forms]
 
 
 def _op_matrix(rows, k, m, p):
@@ -127,8 +120,6 @@ class EigenSystem:
 
     values maps primes ell <= B (ell != p) to elements of the canonical value
     field of degree d; ap is the q^p coefficient of the normalized eigenform.
-    Classes whose value field exceeds the extension-degree cap are returned as
-    degree-overflow markers with empty values.
     """
 
     p: int
@@ -139,12 +130,12 @@ class EigenSystem:
     mult: int
     semisimple_action: bool
     B: int
-    overflow: bool = False
+    # every class is computed in full, so nothing overflows; certificate
+    # format v1 still records "overflow": false in each system
+    overflow = False
 
     @property
     def ordinary(self):
-        if self.overflow or self.ap is None:
-            return None
         return not self.ap.is_zero()
 
     def as_doc(self):
@@ -154,7 +145,7 @@ class EigenSystem:
             "mult": self.mult,
             "ss": self.semisimple_action,
             "overflow": self.overflow,
-            "ap": None if self.ap is None else coords(self.ap),
+            "ap": coords(self.ap),
             "values": {str(ell): coords(v) for ell, v in self.values.items()},
         }
 
@@ -374,11 +365,8 @@ def _embedding_to_canonical(K):
     return ev, K_can
 
 
-def _canonical_system(p, k, raw, B, maxdeg):
+def _canonical_system(p, k, raw, B):
     D = raw.field.degree
-    if D > maxdeg:
-        return EigenSystem(p, k, D, {}, None, raw.mult,
-                           not raw.degenerate, B, overflow=True)
     ev, K_can = _embedding_to_canonical(raw.field)
     wrap = lambda x: ExtFieldElem(p, D, K_can.coords(ev(x)))
     values = {ell: wrap(v) for ell, v in sorted(raw.values.items())}
@@ -390,7 +378,7 @@ def _system_from_doc(p, k, B, doc):
     """Decode a cached eigen system; raises ValueError, KeyError or TypeError
     when the entry does not have the shape `as_doc` writes for (p, k, B)."""
     d = doc["d"]
-    ells = [] if doc["overflow"] else [ell for ell in primes_up_to(B) if ell != p]
+    ells = [ell for ell in primes_up_to(B) if ell != p]
     if set(doc["values"]) != {str(ell) for ell in ells}:
         raise ValueError("cached eigen values are not keyed by the primes <= B")
 
@@ -398,13 +386,10 @@ def _system_from_doc(p, k, B, doc):
         return ExtFieldElem(p, d, tuple(int(c) for c in coords))
 
     values = {ell: elem(doc["values"][str(ell)]) for ell in ells}
-    ap = None if doc["ap"] is None else elem(doc["ap"])
-    return EigenSystem(p, k, d, values, ap, doc["mult"], doc["ss"], B,
-                       overflow=doc["overflow"])
+    return EigenSystem(p, k, d, values, elem(doc["ap"]), doc["mult"], doc["ss"], B)
 
 
-def eigensystems(p: int, k: int, B: int | None = None, *,
-                 max_degree: int | None = None) -> list:
+def eigensystems(p: int, k: int, B: int | None = None) -> list:
     """One EigenSystem per Galois-conjugacy class of mod-p eigen systems on S_k."""
     if not is_prime(p) or p <= 5:
         raise ValueError("p must be a prime > 5")
@@ -414,13 +399,12 @@ def eigensystems(p: int, k: int, B: int | None = None, *,
         B = default_bound(p)
     if B < 2:
         raise ValueError("bound B must be >= 2")
-    maxdeg = DEFAULT_MAX_EXT_DEGREE if max_degree is None else max_degree
-    return _systems(p, k, B, maxdeg)
+    return _systems(p, k, B)
 
 
 @memo(256)
-def _systems(p, k, B, maxdeg):
-    key = (p, k, B, maxdeg)
+def _systems(p, k, B):
+    key = (p, k, B)
     dc = diskcache.get_cache()
     doc = dc.get("eigsys", key) if dc else None
     if doc is not None:
@@ -429,7 +413,7 @@ def _systems(p, k, B, maxdeg):
         except (KeyError, TypeError, ValueError):
             pass  # malformed entry: recompute and overwrite it
     raw, _ss, _d = _raw_classes(p, k, B)
-    systems = [_canonical_system(p, k, r, B, maxdeg) for r in raw]
+    systems = [_canonical_system(p, k, r, B) for r in raw]
     if dc:
         dc.put("eigsys", key, [s.as_doc() for s in systems])
     return systems

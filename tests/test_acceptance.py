@@ -9,6 +9,9 @@ the weight-zero tame shape; `tests/test_oracles.py` checks that pair
 independently.
 """
 
+import hashlib
+import json
+import os
 import random
 import time
 from math import gcd
@@ -276,6 +279,32 @@ def test_criterion_8_hecke_property_suite():
     ok = elapsed <= 600
     announce(8, ok, f"{elapsed:.0f}s")
     assert elapsed <= 600
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "bench", "golden.json")
+
+
+def test_golden_digests(scan_runs):
+    """The acceptance scans reproduce the recorded certificate and report
+    digests: the non-ordinary scan to 200 and the ordinary scan to 180."""
+    with open(GOLDEN, encoding="ascii") as fh:
+        golden = json.load(fh)["workloads"]
+    sha256 = lambda text: hashlib.sha256(text.encode("ascii")).hexdigest()
+    run = scan_runs["a"]
+    differ = {}
+    for mode, report, text, want in (
+            ("nonordinary", run["nonord"], run["nonord_text"],
+             golden["nonord_cold"]["nonordinary"]),
+            ("ordinary", run["ord"], run["ord_text"],
+             golden["ord_warm"]["ordinary"])):
+        got = {str(c.p): sha256(cf.emit_certificate(c)) for c in report.certificates}
+        primes = set(got) | set(want["certificates"])
+        bad = sorted((p for p in primes if got.get(p) != want["certificates"].get(p)),
+                     key=int)
+        if bad or sha256(text) != want["report_sha256"]:
+            differ[mode] = bad
+    assert not differ, f"digests differ from bench/golden.json at primes {differ}"
 
 
 def test_criterion_9_byte_determinism(scan_runs):

@@ -66,6 +66,22 @@ def test_certify_empty_candidates():
     assert cf.parse_certificate(text) == cert
 
 
+def test_certify_ordinary_bimg():
+    cert = cf.certify_ordinary(107, B_img=20)
+    assert cert.conclusion == cf.CERTIFIED
+    assert cert.bounds == {"B": 20, "B_img": 20, "strict": False,
+                           "ext_degree_cap": "max(8, dim)"}
+    winner = next(c for c in cert.candidates
+                  if c["k"] == 26 and c["conclusion"] == cf.CERTIFIED)
+    # the image checks search to B_img; the companion congruence keeps B
+    image = check_by_id(winner, "image_large")["witness"]["constituents"]
+    irreducible = next(c for c in image if c["id"] == "image_irreducible")
+    assert irreducible["witness"]["bound"] == 20
+    assert check_by_id(winner, "companion_split")["witness"]["bound"] == 13
+    assert cli.main(["certify", "--p", "107", "--mode", "ordinary",
+                     "--bimg", "20"]) == 0
+
+
 def test_certificate_roundtrip_and_bigints():
     cert = cf.certify_ordinary(107)
     text = cf.emit_certificate(cert)
@@ -127,15 +143,23 @@ def test_emit_deterministic():
 
 
 def test_cache_corruption_recovers(isolated_cache):
-    cf.certify_nonordinary(59)
-    root = os.path.join(str(isolated_cache), "basis")
-    victims = [f for f in os.listdir(root) if f.startswith("59_")]
-    assert victims
-    with open(os.path.join(root, victims[0]), "w") as fh:
-        fh.write("{corrupt")
+    first = cf.emit_certificate(cf.certify_nonordinary(59))
+    victims = []
+    for namespace in ("profile", "eigsys"):
+        root = os.path.join(str(isolated_cache), namespace)
+        found = [os.path.join(root, f) for f in os.listdir(root) if f.startswith("59_")]
+        assert found, namespace
+        victims += found
+    for path in victims:
+        with open(path, "w") as fh:
+            fh.write("{corrupt")
     cache.clear_memos()
     cert = cf.certify_nonordinary(59)
     assert cert.conclusion == cf.REJECTED
+    assert cf.emit_certificate(cert) == first
+    for path in victims:   # recomputed entries overwrite the corrupt ones
+        with open(path) as fh:
+            json.load(fh)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -152,8 +176,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_eigenform_and_tame(capsys):
-    assert cli.main(["eigenform", "--weight", "26", "--prec", "4",
-                     "--exact"]) == 0
+    assert cli.main(["eigenform", "--weight", "26", "--prec", "4"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[2] == "2 -48"
     assert cli.main(["eigenform", "--weight", "24", "--prec", "3",

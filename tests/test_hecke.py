@@ -68,13 +68,15 @@ def test_eigensystems_empty_and_validation():
         hecke.eigensystems(107, 12, 1)
 
 
-def test_eigensystem_degree_overflow_marker():
-    systems = hecke.eigensystems(41, 24, 13, max_degree=1)
+def test_eigensystem_beyond_degree_8_is_computed_in_full():
+    # dim S_112 = 9 and T_2 is irreducible mod 127: one class of degree 9
+    systems = hecke.eigensystems(127, 112, 13)
     assert len(systems) == 1
     s = systems[0]
-    assert s.overflow and s.d == 2 and s.ordinary is None and s.values == {}
-    full = hecke.eigensystems(41, 24, 13, max_degree=8)
-    assert full[0].d == 2 and not full[0].overflow
+    assert s.d == 9 and not s.overflow
+    assert sorted(s.values) == [2, 3, 5, 7, 11, 13]
+    assert all(len(v.coeffs) == 9 for v in s.values.values())
+    assert len(s.ap.coeffs) == 9
 
 
 def test_eigenvalues_live_in_canonical_field():
@@ -152,12 +154,11 @@ def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
     cache.set_cache(DiskCache(str(tmp_path)))   # empty: every layer computes
     try:
         hecke.eigensystems(41, 24, 13)
-        ffpoly.canonical_embedding(13, 2, 4)
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
     memos = [hecke._basis_rows, hecke._raw_classes, hecke._systems,
              ffpoly.canonical_modulus, ffpoly.canonical_field, ffpoly.embed_root,
-             ffpoly.canonical_embedding, qseries._tables]
+             qseries._tables]
     assert all(m in cache._memos for m in memos)
     assert [m for m in memos if not m.cache_info().currsize] == []
     cache.clear_memos()
@@ -166,12 +167,12 @@ def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
 
 def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache):
     # the key certify_ordinary(107) uses for weight 26
-    key = (107, 26, 13, 8)
+    key = (107, 26, 13)
     disk = DiskCache(str(tmp_path))
     cache.set_cache(disk)
     try:
         cache.clear_memos()
-        fresh = hecke.eigensystems(107, 26, 13, max_degree=8)
+        fresh = hecke.eigensystems(107, 26, 13)
         path = disk._path("eigsys", key)
         with open(path, encoding="ascii") as fh:
             good = fh.read()
@@ -182,11 +183,13 @@ def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache):
             dict(item, values=dict(item["values"], **{"2": ["59", "0"]})),
             dict(item, values=dict(item["values"], **{"2": ["166"]})),
             dict(item, ap=["-1"]),
+            # an overflow marker, as earlier versions wrote for a capped degree
+            dict(item, values={}, ap=None, overflow=True),
         ]
         for bad in damaged:
             disk.put("eigsys", key, [bad])
             cache.clear_memos()
-            assert hecke.eigensystems(107, 26, 13, max_degree=8) == fresh
+            assert hecke.eigensystems(107, 26, 13) == fresh
             with open(path, encoding="ascii") as fh:
                 assert fh.read() == good
         disk.put("eigsys", key, [damaged[0]])
