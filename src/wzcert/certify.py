@@ -179,7 +179,7 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
             ] + lifts
             candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
     return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
-                       split_pairs=_split_pair_survey(p, B_use))
+                       split_pairs=_split_pair_survey(p, B))
 
 
 def certify_nonordinary(p: int, B_img: int | None = None) -> Certificate:

@@ -98,9 +98,6 @@ def _cmd_eigenform(args):
         return 0
     for i, block in enumerate(blocks):
         print(f"# system {i}: degree {block['d']}, multiplicity {block['mult']}")
-        if block["coeffs"] is None:
-            print("# (degenerate class: no normalized expansion)")
-            continue
         for n, coords in enumerate(block["coeffs"]):
             print(f"{n} {','.join(str(c) for c in coords)}")
     return 0

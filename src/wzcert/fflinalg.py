@@ -3,7 +3,7 @@ polynomials, nullspaces, and coordinate solving.  Matrices are lists of rows of
 field elements; all pivot choices are deterministic so outputs are canonical.
 """
 
-from .ffpoly import padd, pmul, pscale
+from .ffpoly import pmul, pscale, psub
 
 
 def mat_det(F, M):
@@ -29,31 +29,40 @@ def mat_det(F, M):
 
 
 def mat_charpoly(F, M):
-    """det(xI - M) by evaluation at n+1 canonical points and Lagrange interpolation."""
+    """det(xI - M) by Hessenberg reduction (Cohen, GTM 138, Alg. 2.2.9).
+
+    Similarity transforms bring M to upper Hessenberg form H; the charpolys
+    p_m of the leading m x m blocks of H then satisfy
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1).
+    """
     n = len(M)
-    if n == 0:
-        return (F.one,)
-    if F.order <= n:
-        raise ValueError("field too small for interpolation")
-    xs = [F.from_counter(j) for j in range(n + 1)]
-    ys = []
-    for x in xs:
-        A = [[F.sub(x if i == j else F.zero, M[i][j]) for j in range(n)]
-             for i in range(n)]
-        ys.append(mat_det(F, A))
-    out = ()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = (F.one,)
-        den = F.one
-        for j, xj in enumerate(xs):
-            if j == i:
+    H = [list(r) for r in M]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1] != F.zero), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        inv = F.inv(H[m][m - 1])
+        for i in range(m + 1, n):
+            u = F.mul(H[i][m - 1], inv)
+            if u == F.zero:
                 continue
-            num = pmul(F, num, (F.neg(xj), F.one))
-            den = F.mul(den, F.sub(xi, xj))
-        out = padd(F, out, pscale(F, num, F.mul(yi, F.inv(den))))
-    # charpoly is monic of degree n; interpolated form may have trimmed zeros
-    out = list(out) + [F.zero] * (n + 1 - len(out))
-    return tuple(out)
+            # row_i -= u row_m, then col_m += u col_i: a similarity transform
+            H[i] = [F.sub(a, F.mul(u, b)) for a, b in zip(H[i], H[m])]
+            for row in H:
+                row[m] = F.add(row[m], F.mul(u, row[i]))
+    polys = [(F.one,)]
+    for m in range(n):
+        pm = pmul(F, (F.neg(H[m][m]), F.one), polys[m])
+        t = F.one
+        for i in range(m - 1, -1, -1):
+            t = F.mul(t, H[i + 1][i])
+            pm = psub(F, pm, pscale(F, polys[i], F.mul(t, H[i][m])))
+        polys.append(pm)
+    return polys[n]
 
 
 def rref(F, M):

@@ -1,9 +1,10 @@
 """Finite fields and dense univariate polynomial arithmetic over them.
 
-Prime-field elements are plain ints in [0, p); extension-field elements are
-tuples of base-field elements (ascending powers of the generator), so towers
-nest naturally.  Polynomials over a field are trimmed tuples of elements,
-ascending degree, with () as the zero polynomial.
+The fields are GF(p) and its simple extensions GF(p)[x]/(f).  Prime-field
+elements are plain ints in [0, p); extension-field elements are tuples of d
+such ints (ascending powers of x).  There are no towers: a field of degree
+d > 1 is always one quotient of GF(p)[x].  Polynomials over a field are
+trimmed tuples of elements, ascending degree, with () as the zero polynomial.
 
 Everything here is deterministic: factor output is canonically sorted, and
 splitting elements are enumerated systematically rather than sampled.
@@ -66,84 +67,59 @@ class PrimeField:
 
 
 class ExtField:
-    """base[x]/(modulus) for a monic modulus over `base` (prime field or tower)."""
+    """GF(p)[x]/(modulus) for a monic irreducible modulus over a PrimeField."""
 
     __slots__ = ("base", "modulus", "d", "p", "degree", "order", "zero", "one", "gen",
-                 "_redrow", "_flat")
+                 "_redrow")
 
     def __init__(self, base, modulus):
+        if type(base) is not PrimeField:
+            raise TypeError("ExtField is built over a PrimeField only")
         self.base = base
         self.modulus = tuple(modulus)
         self.d = len(modulus) - 1
-        if self.d < 1 or modulus[-1] != base.one:
+        if self.d < 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        self.p = base.p
-        self.degree = base.degree * self.d
-        self.order = base.order ** self.d
-        self.zero = (base.zero,) * self.d
-        self.one = (base.one,) + (base.zero,) * (self.d - 1)
-        g = [base.zero] * self.d
-        if self.d > 1:
-            g[1] = base.one
-            self.gen = tuple(g)
-        else:
-            self.gen = (base.neg(modulus[0]),)
+        p = self.p = base.p
+        self.degree = self.d
+        self.order = p ** self.d
+        self.zero = (0,) * self.d
+        self.one = (1,) + (0,) * (self.d - 1)
+        self.gen = (0, 1) + (0,) * (self.d - 2) if self.d > 1 else (-modulus[0] % p,)
         # reduction row: x^d = -(m_0 + ... + m_{d-1} x^{d-1})
-        self._redrow = tuple(base.neg(c) for c in self.modulus[:-1])
-        self._flat = type(base) is PrimeField
+        self._redrow = tuple(-c % p for c in self.modulus[:-1])
 
     def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+        p = self.p
+        return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        base = self.base
+        # int coefficients: accumulate without intermediate reduction
+        p = self.p
         d = self.d
-        if self._flat:
-            # int coefficients: accumulate without intermediate reduction
-            p = self.p
-            prod = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] += ai * bj
-            red = self._redrow
-            for t in range(2 * d - 2, d - 1, -1):
-                c = prod[t] % p
-                if c:
-                    base_t = t - d
-                    for i, ri in enumerate(red):
-                        if ri:
-                            prod[base_t + i] += c * ri
-            return tuple(x % p for x in prod[:d])
-        zero = base.zero
-        prod = [zero] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
         red = self._redrow
         for t in range(2 * d - 2, d - 1, -1):
-            c = prod[t]
-            if c == zero:
-                continue
-            prod[t] = zero
-            base_t = t - d
-            for i, ri in enumerate(red):
-                if ri != zero:
-                    prod[base_t + i] = base.add(prod[base_t + i], base.mul(c, ri))
-        return tuple(prod[:d])
+            c = prod[t] % p
+            if c:
+                base_t = t - d
+                for i, ri in enumerate(red):
+                    if ri:
+                        prod[base_t + i] += c * ri
+        return tuple(x % p for x in prod[:d])
 
     def inv(self, a):
         if a == self.zero:
@@ -151,14 +127,12 @@ class ExtField:
         g, u = _half_ext_gcd(self.base, ptrim(self.base, a), self.modulus)
         if pdeg(g) != 0:
             raise ArithmeticError("modulus not irreducible over base")
-        c = self.base.inv(g[0])
-        out = [self.base.mul(c, x) for x in u]
-        out += [self.base.zero] * (self.d - len(out))
+        c = pow(g[0], -1, self.p)
+        out = [c * x % self.p for x in u]
+        out += [0] * (self.d - len(out))
         return tuple(out[:self.d])
 
     def pow_(self, a, n):
-        if n < 0:
-            return self.pow_(self.inv(a), -n)
         out = self.one
         b = a
         while n:
@@ -172,25 +146,20 @@ class ExtField:
         return self.pow_(a, self.p)
 
     def coords(self, a):
-        out = []
-        for c in a:
-            out.extend(self.base.coords(c))
-        return tuple(out)
+        return tuple(a)
 
     def from_coords(self, c):
-        bd = self.base.degree
-        return tuple(self.base.from_coords(tuple(c[i * bd:(i + 1) * bd]))
-                     for i in range(self.d))
+        return tuple(x % self.p for x in c)
 
     def from_int(self, n):
-        return (self.base.from_int(n),) + (self.base.zero,) * (self.d - 1)
+        return (n % self.p,) + (0,) * (self.d - 1)
 
     def from_counter(self, t):
         digits = []
-        for _ in range(self.degree):
+        for _ in range(self.d):
             digits.append(t % self.p)
             t //= self.p
-        return self.from_coords(tuple(digits))
+        return tuple(digits)
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"

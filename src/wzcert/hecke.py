@@ -2,10 +2,13 @@
 
 T_m acts on the Miller basis through the classical coefficient formula
 a_n(T_m f) = sum_{r | gcd(m,n)} r^(k-1) a_{mn/r^2}(f).  Mod-p eigen systems
-are extracted from T_2 eigenspaces, refined by T_3, T_5, ... inside extension
-fields when eigenvalues coincide, and a_p is read off the reconstructed
-normalized eigenform expansion at precision p+1.  The full T_p matrix (which
-needs dim-times-larger precision) is kept only as a determinant oracle.
+are extracted from T_2 eigenspaces over GF(p)[x]/(g), g a factor of the T_2
+charpoly, and refined by T_3, T_5, ... where eigenvalues coincide; when a
+later a_ell needs a larger field, the refinement continues in the canonical
+GF(p^D) (Stein, Modular Forms: A Computational Approach, ch. 9).  a_p is read
+off the reconstructed normalized eigenform expansion at precision p+1.  The
+full T_p matrix (which needs dim-times-larger precision) is kept only as a
+determinant oracle.
 """
 
 from dataclasses import dataclass
@@ -120,6 +123,13 @@ class EigenSystem:
 
     values maps primes ell <= B (ell != p) to elements of the canonical value
     field of degree d; ap is the q^p coefficient of the normalized eigenform.
+
+    Conjugate rule: of the d Frobenius conjugates of the class, the one
+    recorded has the packet (a_2, a_3, a_5, ...) that is lex-least, comparing
+    the values in turn by their coordinates.  Class order: classes are sorted
+    by the minimal polynomial of a_2 over GF(p) (degree first, then the
+    coefficients from the constant term up), then, where a_2 ties, by the
+    factor of the next a_ell's characteristic polynomial that tells them apart.
     """
 
     p: int
@@ -151,15 +161,14 @@ class EigenSystem:
 
 
 class _RawClass:
-    __slots__ = ("field", "values", "ap", "mult", "path", "degenerate", "vec")
+    __slots__ = ("field", "values", "ap", "mult", "path", "vec")
 
-    def __init__(self, field, values, ap, mult, path, degenerate, vec=None):
+    def __init__(self, field, values, ap, mult, path, vec):
         self.field = field
         self.values = values
         self.ap = ap
         self.mult = mult
         self.path = path
-        self.degenerate = degenerate
         self.vec = vec
 
 
@@ -167,16 +176,14 @@ def _factor_key(F, h):
     return (ffpoly.pdeg(h), tuple(F.coords(c) for c in h))
 
 
-def _lift_elem(K2, a):
-    return (a,) + (K2.base.zero,) * (K2.d - 1)
-
-
 @memo(256)
 def _raw_classes(p, k, B):
     """All mod-p eigen system classes on S_k with a_ell (ell <= B) and a_p.
 
-    Returns (classes, semisimple, dim).  Classes live in ad-hoc tower fields;
-    canonicalization into the (p, d)-canonical field happens separately.
+    Returns (classes, semisimple, dim).  A class lives in GF(p), in
+    GF(p)[x]/(g) for g the minimal polynomial of a_2, or, when a later a_ell
+    needs a larger field, in the canonical GF(p^D); mapping the first two
+    into the canonical field happens separately.
     """
     d = dim_cusp(k)
     if d == 0:
@@ -203,9 +210,6 @@ def _raw_classes(p, k, B):
                for K, space, path in leaves]
     classes.sort(key=lambda c: c.path)
     semisimple = sum(c.field.degree * c.mult for c in classes) == d
-    if not semisimple:
-        for c in classes:
-            c.degenerate = True
     return classes, semisimple, d
 
 
@@ -223,44 +227,37 @@ def _refine(p, k, d, K, space, path, ells, idx, B, prec0):
     m = len(space)
     cols = []
     for v in space:
-        w = [K.zero] * d
-        for i in range(d):
-            acc = K.zero
-            row = MlK[i]
-            for j in range(d):
-                if v[j] != K.zero and row[j] != K.zero:
-                    acc = K.add(acc, K.mul(row[j], v[j]))
-            w[i] = acc
-        coords = solve_in_span(K, space, w)
+        coords = solve_in_span(K, space, [_dot(K, row, v) for row in MlK])
         if coords is None:
             raise ArithmeticError("Hecke operator does not preserve eigenspace")
         cols.append(coords)
     A = [[cols[j][i] for j in range(m)] for i in range(m)]
     out = []
     for h, _mult in ffpoly.factor_monic(K, mat_charpoly(K, A)):
+        K2, A2, space2 = K, A, space
         if ffpoly.pdeg(h) == 1:
-            K2, mu = K, K.neg(h[0])
-            A2, space2 = A, space
+            mu = K.neg(h[0])
         else:
-            K2 = ffpoly.ExtField(K, h)
-            mu = K2.gen
-            A2 = [[_lift_elem(K2, x) for x in row] for row in A]
-            space2 = [[_lift_elem(K2, x) for x in v] for v in space]
+            # a_ell needs a larger field: continue in the canonical one
+            K2 = ffpoly.canonical_field(p, K.degree * ffpoly.pdeg(h))
+            ev = _embedding(K, K2)
+            A2 = [[ev(x) for x in row] for row in A]
+            space2 = [[ev(x) for x in v] for v in space]
+            mu = ffpoly.split_roots(K2, tuple(ev(c) for c in h))[0]
         E = mat_nullspace(K2, [[K2.sub(A2[i][j], mu if i == j else K2.zero)
                                 for j in range(m)] for i in range(m)])
-        newspace = []
-        for e in E:
-            vec = [K2.zero] * d
-            for t in range(m):
-                if e[t] == K2.zero:
-                    continue
-                for i in range(d):
-                    if space2[t][i] != K2.zero:
-                        vec[i] = K2.add(vec[i], K2.mul(e[t], space2[t][i]))
-            newspace.append(vec)
+        newspace = [[_dot(K2, e, col) for col in zip(*space2)] for e in E]
         out.extend(_refine(p, k, d, K2, newspace,
                            path + ((ell, _factor_key(K, h)),), ells, idx + 1, B, prec0))
     return out
+
+
+def _dot(K, a, b):
+    acc = K.zero
+    for x, y in zip(a, b):
+        if x != K.zero and y != K.zero:
+            acc = K.add(acc, K.mul(x, y))
+    return acc
 
 
 def _leaf_class(p, k, d, K, space, path, B, prec0):
@@ -268,8 +265,10 @@ def _leaf_class(p, k, d, K, space, path, B, prec0):
     space = [tuple(r) for r in rref(K, space)[0] if any(x != K.zero for x in r)]
     pick = next((v for v in space if v[0] != K.zero), None)
     if pick is None:
-        values, ap = _values_via_restriction(p, k, d, K, space, B)
-        return _RawClass(K, values, ap, len(space), path, True)
+        # the space is T_n-stable for every n, so it holds an eigenform f, and
+        # a_1(f) = 0 would force a_n(f) = a_1(T_n f) = lambda_n a_1(f) = 0
+        raise ArithmeticError("eigenspace has no a_1-normalizable vector, "
+                              "which no Hecke-stable space can have")
     inv0 = K.inv(pick[0])
     v = [K.mul(inv0, x) for x in pick]
     D = K.degree
@@ -281,97 +280,55 @@ def _leaf_class(p, k, d, K, space, path, B, prec0):
         if ell != p:
             values[ell] = K.from_coords(tuple(int(x) for x in C[ell]))
     ap = K.from_coords(tuple(int(x) for x in C[p]))
-    return _RawClass(K, values, ap, len(space), path, False, vec=v)
-
-
-def _values_via_restriction(p, k, d, K, space, B):
-    """Eigenvalue packet for a space with no a_1-normalizable vector: every
-    T_ell (and T_p) restricted to the space must act as a scalar."""
-    values = {}
-    for ell in primes_up_to(B):
-        if ell == p:
-            continue
-        values[ell] = _restriction_scalar(p, k, d, K, space, ell)
-    ap = _restriction_scalar(p, k, d, K, space, p)
-    return values, ap
-
-
-def _restriction_scalar(p, k, d, K, space, m):
-    rows = _basis_rows(p, k, m * d + 2)
-    M = _op_matrix(rows, k, m, p)
-    MK = M if K.degree == 1 else mat_lift(K, M)
-
-    def apply(v):
-        w = [K.zero] * d
-        for i in range(d):
-            acc = K.zero
-            row = MK[i]
-            for j in range(d):
-                if v[j] != K.zero and row[j] != K.zero:
-                    acc = K.add(acc, K.mul(row[j], v[j]))
-            w[i] = acc
-        return w
-
-    coords = solve_in_span(K, space, apply(space[0]))
-    if coords is None:
-        raise ArithmeticError(f"T_{m} does not preserve the degenerate eigenspace")
-    scalar = coords[0]
-    for v in space:
-        if apply(v) != [K.mul(scalar, x) for x in v]:
-            raise ArithmeticError(
-                f"mod-{p} Hecke action on S_{k} is not scalar on a degenerate "
-                f"eigenspace at T_{m}; eigen data is not separable")
-    return scalar
+    return _RawClass(K, values, ap, len(space), path, v)
 
 
 # ---------------------------------------------------------------------------
-# canonicalization into the (p, d)-canonical extension field
+# canonicalization into the (p, d)-canonical field
 
 
-def _embedding_to_canonical(K):
-    """An evaluation map K -> canonical GF(p^degree), choosing the lex-least
-    root for each tower generator; deterministic for a given tower."""
-    p = K.p
+def _embedding(K, K2):
+    """The field map K -> K2 sending x to the lex-least root of K's modulus
+    in K2 (K.degree divides K2.degree); on GF(p) it is K2.from_int."""
+    if K.degree == 1:
+        return K2.from_int
+    root = ffpoly.embed_root(K.modulus, K2)
+
+    def evaluate(x):
+        acc = K2.zero
+        for c in reversed(x):
+            acc = K2.add(K2.mul(acc, root), K2.from_int(c))
+        return acc
+    return evaluate
+
+
+def _canonical_map(p, raw):
+    """(map, K_can): raw.field -> the canonical GF(p^D), D = raw.field.degree,
+    onto the conjugate whose packet (a_2, a_3, a_5, ...) is lex-least by coords.
+
+    In GF(p)[x]/(g), a_2 = x generates the field, so mapping x to the lex-least
+    root of g is that conjugate.  A class whose field grew during refinement
+    already lives in K_can; the least Frobenius power j < D is applied.
+    """
+    K = raw.field
     D = K.degree
     K_can = ffpoly.canonical_field(p, D)
-    chain = []
-    F = K
-    while isinstance(F, ffpoly.ExtField):
-        chain.append(F)
-        F = F.base
-    chain.reverse()
-
-    def base_eval(x):
-        return K_can.from_int(x)
-
-    ev = base_eval
-    for lvl, F in enumerate(chain):
-        mod = F.modulus
-        if lvl == 0:
-            root = ffpoly.embed_root(tuple(mod), K_can)
-        else:
-            mapped = ffpoly.ptrim(K_can, [ev(c) for c in mod])
-            root = ffpoly.split_roots(K_can, mapped)[0]
-
-        def make(prev, root):
-            def evaluate(x):
-                acc = K_can.zero
-                for c in reversed(x):
-                    acc = K_can.add(K_can.mul(acc, root), prev(c))
-                return acc
-            return evaluate
-
-        ev = make(ev, root)
-    return ev, K_can
+    if D == raw.path[0][1][0]:      # the degree of a_2's minimal polynomial
+        return _embedding(K, K_can), K_can
+    packet = list(raw.values.values())
+    orbit = [packet]
+    for _ in range(D - 1):
+        orbit.append([K_can.frob(v) for v in orbit[-1]])
+    j = min(range(D), key=lambda i: [K_can.coords(v) for v in orbit[i]])
+    return (lambda x: K_can.pow_(x, p**j)), K_can
 
 
-def _canonical_system(p, k, raw, B):
+def _canonical_system(p, k, raw, B, semisimple):
     D = raw.field.degree
-    ev, K_can = _embedding_to_canonical(raw.field)
+    ev, K_can = _canonical_map(p, raw)
     wrap = lambda x: ExtFieldElem(p, D, K_can.coords(ev(x)))
     values = {ell: wrap(v) for ell, v in sorted(raw.values.items())}
-    return EigenSystem(p, k, D, values, wrap(raw.ap), raw.mult,
-                       not raw.degenerate, B)
+    return EigenSystem(p, k, D, values, wrap(raw.ap), raw.mult, semisimple, B)
 
 
 def _system_from_doc(p, k, B, doc):
@@ -412,8 +369,8 @@ def _systems(p, k, B):
             return [_system_from_doc(p, k, B, item) for item in doc]
         except (KeyError, TypeError, ValueError):
             pass  # malformed entry: recompute and overwrite it
-    raw, _ss, _d = _raw_classes(p, k, B)
-    systems = [_canonical_system(p, k, r, B) for r in raw]
+    raw, semisimple, _d = _raw_classes(p, k, B)
+    systems = [_canonical_system(p, k, r, B, semisimple) for r in raw]
     if dc:
         dc.put("eigsys", key, [s.as_doc() for s in systems])
     return systems
@@ -449,17 +406,13 @@ def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
     raw, _ss, d = _raw_classes(p, k, B)
     out = []
     for r in raw:
-        D = r.field.degree
-        if r.vec is None:
-            out.append({"d": D, "mult": r.mult, "coeffs": None})
-            continue
-        rows = _basis_rows(p, k, max(prec, p + 2, 2 * d + 2, B + 2))
         K = r.field
+        rows = _basis_rows(p, k, max(prec, p + 2, 2 * d + 2, B + 2))
         V = np.array([K.coords(x) for x in r.vec], dtype=np.int64)
         R = np.array([row[:max(prec, 1)] for row in rows], dtype=np.int64)
         C = (R.T @ V) % p
-        ev, K_can = _embedding_to_canonical(K)
+        ev, K_can = _canonical_map(p, r)
         coeffs = [K_can.coords(ev(K.from_coords(tuple(int(x) for x in c))))
                   for c in C[:prec]]
-        out.append({"d": D, "mult": r.mult, "coeffs": coeffs})
+        out.append({"d": K.degree, "mult": r.mult, "coeffs": coeffs})
     return out

@@ -66,8 +66,19 @@ def test_certify_empty_candidates():
     assert cf.parse_certificate(text) == cert
 
 
-def test_certify_ordinary_bimg():
+def test_certify_ordinary_bimg(monkeypatch):
+    from wzcert import galoischecks
+    bounds = []
+
+    def spy(p, k, fsys, B=None):
+        bounds.append(B)
+        return companion_match(p, k, fsys, B)
+
+    monkeypatch.setattr(galoischecks, "companion_match", spy)
     cert = cf.certify_ordinary(107, B_img=20)
+    # the verdicts and the split-pair survey share the companion bound
+    assert bounds and set(bounds) == {13}
+    assert cert.split_pairs == cf.certify_ordinary(107).split_pairs
     assert cert.conclusion == cf.CERTIFIED
     assert cert.bounds == {"B": 20, "B_img": 20, "strict": False,
                            "ext_degree_cap": "max(8, dim)"}
@@ -193,6 +204,14 @@ def test_cli_eigenform_and_tame(capsys):
                      "--case", "ordinary"]) == 0
     out = capsys.readouterr().out
     assert "n = 105:" in out and "n = 106:" in out
+
+
+def test_cli_eigenform_space_larger_than_field(capsys):
+    # dim S_90 = 7 >= p: the characteristic polynomial still exists
+    assert cli.main(["eigenform", "--weight", "90", "--prec", "5",
+                     "--modp", "7"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("# system ") for line in out.splitlines()) == 3
 
 
 def test_cli_scan(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from wzcert import ffpoly
 from wzcert.cache import clear_memos
-from wzcert.hecke import _embedding_to_canonical
+from wzcert.hecke import _embedding
 
 
 def test_embed_root_battery():
@@ -41,21 +43,25 @@ def test_split_roots_separates_subfield_conjugates():
     assert roots == sorted([r, r2], key=K.coords)
 
 
-def test_depth2_tower_canonicalization():
+def test_embedding_into_canonical_field():
+    # GF(5)[x]/(x^2 + x + 2) into GF(5^4): a ring homomorphism sending 1 to 1
     Fp = ffpoly.canonical_field(5, 1)
-    K1 = ffpoly.ExtField(Fp, ffpoly.pfrom_ints(Fp, ffpoly.canonical_modulus(5, 2)))
-    for t in range(2, 30):
-        cand = K1.from_counter(t)
-        h = (K1.neg(cand), K1.zero, K1.one)
-        if ffpoly.factor_monic(K1, h) == [(h, 1)]:
-            break
-    K2 = ffpoly.ExtField(K1, h)
-    assert K2.degree == 4
-    ev, K_can = _embedding_to_canonical(K2)
+    K = ffpoly.ExtField(Fp, (2, 1, 1))
+    assert ffpoly.factor_monic(Fp, K.modulus) == [(K.modulus, 1)]
+    K_can = ffpoly.canonical_field(5, 4)
+    ev = _embedding(K, K_can)
     rng = random.Random(2)
     for _ in range(50):
-        a = K2.from_counter(rng.randrange(K2.order))
-        b = K2.from_counter(rng.randrange(K2.order))
-        assert ev(K2.mul(a, b)) == K_can.mul(ev(a), ev(b))
-        assert ev(K2.add(a, b)) == K_can.add(ev(a), ev(b))
-    assert ev(K2.one) == K_can.one
+        a = K.from_counter(rng.randrange(K.order))
+        b = K.from_counter(rng.randrange(K.order))
+        assert ev(K.mul(a, b)) == K_can.mul(ev(a), ev(b))
+        assert ev(K.add(a, b)) == K_can.add(ev(a), ev(b))
+    assert ev(K.one) == K_can.one
+
+
+def test_ext_field_needs_prime_base():
+    Fp = ffpoly.canonical_field(5, 1)
+    K = ffpoly.canonical_field(5, 2)
+    with pytest.raises(TypeError):
+        ffpoly.ExtField(K, (K.gen, K.zero, K.one))
+    assert ffpoly.ExtField(Fp, (2, 1, 1)).degree == 2

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from wzcert import cache, certify as cf, ffpoly, hecke, qseries
 from wzcert.cache import DiskCache
+from wzcert.exactarith import ExtFieldElem
 from wzcert.qseries import PrecisionError, delta, dim_cusp
 
 
@@ -130,8 +132,6 @@ def test_multiplicativity_a6():
             if dim_cusp(k) == 0:
                 continue
             for block in hecke.expansions(p, k, 7):
-                if block["coeffs"] is None:
-                    continue
                 K = ffpoly.canonical_field(p, block["d"])
                 c = [K.from_coords(t) for t in block["coeffs"]]
                 assert K.mul(c[2], c[3]) == c[6], (p, k)
@@ -223,3 +223,82 @@ def test_value_field_degree_is_minimal():
                     t += 1
                 degs.append(t)
             assert lcm(*degs) == s.d, (p, k)
+
+
+def test_grown_value_field_67_56():
+    # the degree-2 class has a rational a_2; T_3 makes its field grow
+    systems = hecke.eigensystems(67, 56)
+    assert [s.d for s in systems] == [1, 2, 1]
+    s = systems[1]
+    assert s.values[2].coeffs == (33, 0)
+    assert s.values[3].coeffs == (38, 32)
+    assert s.ap.coeffs == (66, 10)
+
+
+def test_classes_with_equal_a2_41_144():
+    # two degree-2 classes share a_2 and the GF(41)-minimal polynomial of
+    # a_3; only GF(41^2) separates them, and the factor of a_3 orders them
+    for B in (3, 13):
+        systems = hecke.eigensystems(41, 144, B)
+        assert len(systems) == 10 and all(s.mult == 1 for s in systems)
+        quad = [(s.values[2].coeffs, s.values[3].coeffs, s.ap.coeffs)
+                for s in systems if s.d == 2]
+        assert quad == [((7, 14), (0, 16), (0, 0)),
+                        ((7, 14), (0, 25), (16, 21))], B
+
+
+def _conjugates(K, x):
+    out = [x]
+    while K.frob(out[-1]) != x:
+        out.append(K.frob(out[-1]))
+    return out
+
+
+def _is_lex_least_conjugate(s):
+    K = ffpoly.canonical_field(s.p, s.d)
+    packet = [K.from_coords(v.coeffs) for _, v in sorted(s.values.items())]
+    recorded = [K.coords(v) for v in packet]
+    for _ in range(s.d - 1):
+        packet = [K.frob(v) for v in packet]
+        if [K.coords(v) for v in packet] < recorded:
+            return False
+    return True
+
+
+def _a2_minpoly_key(s):
+    """(degree, coefficients from the constant term) of a_2's GF(p)-minimal polynomial."""
+    K = ffpoly.canonical_field(s.p, s.d)
+    f = (K.one,)
+    for c in _conjugates(K, K.from_coords(s.values[2].coeffs)):
+        f = ffpoly.pmul(K, f, (K.neg(c), K.one))
+    return ffpoly.pdeg(f), tuple(K.coords(c)[0] for c in f)
+
+
+def test_conjugate_rule_and_class_order():
+    for p in (67, 107, 139):
+        for k in range(12, p + 2, 2):
+            systems = hecke.eigensystems(p, k)
+            assert all(_is_lex_least_conjugate(s) for s in systems), (p, k)
+            keys = [_a2_minpoly_key(s) for s in systems]
+            assert keys == sorted(keys), (p, k)
+
+
+def test_conjugate_rule_rejects_a_frobenius_image():
+    s = next(s for s in hecke.eigensystems(41, 24) if s.d == 2)
+    K = ffpoly.canonical_field(41, 2)
+    image = {ell: ExtFieldElem(41, 2, K.frob(K.from_coords(v.coeffs)))
+             for ell, v in s.values.items()}
+    assert _is_lex_least_conjugate(s)
+    assert not _is_lex_least_conjugate(dataclasses.replace(s, values=image))
+
+
+def test_grown_class_records_one_packet_for_every_conjugate():
+    B = hecke.default_bound(67)
+    raw, _ss, _d = hecke._raw_classes(67, 56, B)
+    r = next(r for r in raw if r.field.degree == 2)
+    K = r.field
+    image = hecke._RawClass(K, {ell: K.frob(v) for ell, v in r.values.items()},
+                            K.frob(r.ap), r.mult, r.path, [K.frob(x) for x in r.vec])
+    assert image.values != r.values
+    assert (hecke._canonical_system(67, 56, image, B, True)
+            == hecke._canonical_system(67, 56, r, B, True))

@@ -1,16 +1,19 @@
 """Independent oracles for number-theoretic claims the certifier relies on.
 
-These tests share only the exact integer Hecke matrices with the program.
-Everything downstream (characteristic polynomials, gcds over GF(p)) is
-computed by sympy, which is not a dependency of wzcert, so the tests skip
-where it is not installed.
+The companion-pair test shares only the exact integer Hecke matrices with
+the program; everything downstream (characteristic polynomials, gcds over
+GF(p)) is computed by sympy.  The kernel tests compare the GF(p)
+characteristic polynomial and factorization against sympy on seeded random
+inputs.  sympy is not a dependency of wzcert, so the tests skip where it is
+not installed.
 """
 
+import random
 from math import gcd
 
 import pytest
 
-from wzcert import hecke, qseries
+from wzcert import ffpoly, fflinalg, hecke, qseries
 
 P151 = 151
 ELLS = (2, 3, 5, 7)
@@ -55,3 +58,42 @@ def test_p151_companion_pairs_oracle():
     assert gcd(52 - 1, p - 1) == 3
     for ell in ELLS:
         assert _companion_gcd(sympy, p, 52, ell).degree() >= 1, ell
+
+
+def _random_matrix(rng, p, n):
+    density = rng.choice((0.3, 1.0))
+    return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_mat_charpoly_oracle():
+    """Hessenberg charpolys equal sympy's, reduced mod p, including n >= p."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for p in (7, 11, 107):
+        F = ffpoly.canonical_field(p, 1)
+        for n in range(16):
+            M = _random_matrix(rng, p, n)
+            got = fflinalg.mat_charpoly(F, M)
+            want = sympy.Poly(sympy.Matrix(n, n, sum(M, [])).charpoly(x).as_expr(),
+                              x, modulus=p)
+            assert got == tuple(c % p for c in reversed(want.all_coeffs())), (p, M)
+
+
+def test_factor_monic_oracle():
+    """factor_monic's factors and multiplicities equal sympy's factor_list."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(12)
+    for p in (7, 41, 107):
+        F = ffpoly.canonical_field(p, 1)
+        for deg in range(1, 16):
+            for _ in range(2):
+                f = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
+                if rng.random() < 0.5:   # force repeated factors
+                    f = ffpoly.pmul(F, f, f[:deg // 2 + 1] + (1,))
+                want = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()[1]
+                want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), m)
+                              for g, m in want)
+                assert sorted(ffpoly.factor_monic(F, f)) == want, (p, f)
