@@ -8,3 +8,7 @@ and packages per-prime verdicts into machine-readable certificates.
 __version__ = "0.1.0"
 
 TOOL_VERSION = __version__
+
+# the layout of disk cache entries; bump it whenever an entry computed for the
+# same key would change, so that older entries read as misses
+CACHE_SCHEMA = 1

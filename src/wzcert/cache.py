@@ -1,8 +1,9 @@
 """Best-effort disk cache for computed a_p profiles and eigen systems, and the
 registry of in-process memos.
 
-Entries are canonical JSON files keyed by their parameters and the tool
-version; corruption or a version mismatch simply triggers recomputation.
+Entries are canonical JSON files keyed by their parameters and stamped with
+the tool version and the cache schema; corruption or a mismatch of either
+is a miss, which triggers recomputation and an overwrite.
 Writes are atomic (temp file + rename), so concurrent scans may share a
 cache directory: any writer of a key produces identical bytes.
 """
@@ -12,7 +13,7 @@ import json
 import os
 import tempfile
 
-from . import TOOL_VERSION
+from . import CACHE_SCHEMA, TOOL_VERSION
 
 
 class DiskCache:
@@ -29,6 +30,8 @@ class DiskCache:
                 doc = json.load(fh)
             if doc.get("toolversion") != TOOL_VERSION:
                 return None
+            if doc.get("schema") != CACHE_SCHEMA:
+                return None
             if doc.get("key") != list(key):
                 return None
             return doc["value"]
@@ -36,7 +39,8 @@ class DiskCache:
             return None
 
     def put(self, namespace, key, value):
-        doc = {"toolversion": TOOL_VERSION, "key": list(key), "value": value}
+        doc = {"toolversion": TOOL_VERSION, "schema": CACHE_SCHEMA,
+               "key": list(key), "value": value}
         path = self._path(namespace, key)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from math import gcd
 
-from . import TOOL_VERSION
+from . import TOOL_VERSION, galoischecks
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
 from .hecke import default_bound, eigensystems, exact_ap_dim1
@@ -89,7 +89,28 @@ def _gcd_check(k, modulus, label):
     })
 
 
-def _split_pair_survey(p, B):
+def _companion_matches(p, B):
+    """companion_match(p, k, sys, B), searched once per (k, class).
+
+    The match depends on a class only through its degree and its values at
+    the primes l <= B, so classes computed to a larger bound share the entry
+    of the class they restrict to.  A weight whose companion weight has no
+    cusp forms has no match to search for.
+    """
+    ells = [ell for ell in primes_up_to(B) if ell != p]
+    found = {}
+
+    def match(k, sys):
+        if dim_cusp(p + 1 - k) == 0:
+            return None
+        key = (k, sys.d, tuple(sys.values[ell].coeffs for ell in ells))
+        if key not in found:
+            found[key] = galoischecks.companion_match(p, k, sys, B)
+        return found[key]
+    return match
+
+
+def _split_pair_survey(p, B, match):
     """All companion matches among weight pairs (k, p+1-k), 12 <= k <= (p+1)/2,
     regardless of gcd eligibility.
 
@@ -99,7 +120,6 @@ def _split_pair_survey(p, B):
     data exists.  Matches of a class against its own twist are flagged: they
     witness a quadratic self-twist rather than a companion pair.
     """
-    from .galoischecks import companion_match
     pairs = []
     for k in range(12, (p + 1) // 2 + 1, 2):
         kk = p + 1 - k
@@ -108,7 +128,7 @@ def _split_pair_survey(p, B):
         for sys in eigensystems(p, k, B):
             if not sys.ordinary:
                 continue
-            found = companion_match(p, k, sys, B)
+            found = match(k, sys)
             if found is None:
                 continue
             gsys, e, _j = found
@@ -158,6 +178,7 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
     """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
     _check_prime(p)
     B, B_img, B_use, bounds = _bounds(p, B_img)
+    match = _companion_matches(p, B)
     candidates = []
     for k in range(12, p, 2):
         if gcd(k - 1, p - 1) != 1 or dim_cusp(k) == 0:
@@ -175,11 +196,11 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
                 _gcd_check(k, p - 1, "p-1"),
                 CheckVerdict("ordinary_at_p", PASS, ord_witness),
                 large_image_verdict(p, k, sys, "ordinary", B_img),
-                split_verdict(p, k, sys, B),
+                split_verdict(p, k, sys, B, found=match(k, sys)),
             ] + lifts
             candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
     return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
-                       split_pairs=_split_pair_survey(p, B))
+                       split_pairs=_split_pair_survey(p, B, match))
 
 
 def certify_nonordinary(p: int, B_img: int | None = None) -> Certificate:
@@ -220,19 +241,22 @@ def certify(p: int, mode: str, B_img: int | None = None) -> Certificate:
 
 @dataclass
 class ScanReport:
+    """A scan in one mode; texts[i] is emit_certificate(certificates[i])."""
+
     mode: str
     pmax: int
     certified: list
-    certificates: list = field(default_factory=list)
+    certificates: list
+    texts: list
 
-    def as_doc(self):
+    def _skeleton(self):
+        """The report document without its "certificates" entry."""
         doc = {
             "format": FORMAT_REPORT,
             "toolversion": TOOL_VERSION,
             "mode": self.mode,
             "pmax": self.pmax,
             "certified": self.certified,
-            "certificates": [c.as_doc() for c in self.certificates],
         }
         if self.mode == "ordinary":
             doc["split_pair_primes"] = [
@@ -240,18 +264,26 @@ class ScanReport:
                 if any(not pair["self_twist"] for pair in c.split_pairs)]
         return doc
 
+    def as_doc(self):
+        doc = self._skeleton()
+        doc["certificates"] = [c.as_doc() for c in self.certificates]
+        return doc
+
 
 MODES = ("ordinary", "nonordinary")
 
 
 def _certify_task(args):
-    """Certify one prime in each of the given modes, in order, in this process.
+    """Certify one prime in each of the given modes, in order, in this process;
+    returns each certificate with its canonical text.
 
     Running the modes of one prime back to back lets the later mode reuse the
-    eigen decompositions the earlier one left in the in-process memos.
+    eigen decompositions the earlier one left in the in-process memos.  The
+    text is emitted here, so a pool worker, not the parent, pays for it.
     """
     p, modes = args
-    return p, [certify(p, mode) for mode in modes]
+    certs = [certify(p, mode) for mode in modes]
+    return p, [(cert, emit_certificate(cert)) for cert in certs]
 
 
 def scan(pmax: int, modes, jobs: int = 1) -> list:
@@ -280,9 +312,9 @@ def scan(pmax: int, modes, jobs: int = 1) -> list:
         done = dict(map(_certify_task, tasks))
     reports = []
     for i, mode in enumerate(modes):
-        certs = [done[p][i] for p in primes]
+        certs, texts = zip(*(done[p][i] for p in primes))
         certified = [c.p for c in certs if c.conclusion == CERTIFIED]
-        reports.append(ScanReport(mode, pmax, certified, certs))
+        reports.append(ScanReport(mode, pmax, certified, list(certs), list(texts)))
     return reports
 
 
@@ -320,7 +352,25 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def emit_report(report: ScanReport, destination=None) -> str:
-    text = _canonical_json(report.as_doc())
+    """Serialize a scan report as canonical JSON; optionally write it to a path.
+
+    The bytes are those of the canonical JSON of `report.as_doc()`: the
+    skeleton is dumped with null in the "certificates" slot, and the
+    certificates' texts go in its place, every line indented one list level
+    (4 spaces) deeper.  One join builds the text, so at most the texts, their
+    indented copies and the result are held at once.
+    """
+    doc = report._skeleton()
+    doc["certificates"] = None
+    head, _, tail = _canonical_json(doc).partition('"certificates": null')
+    parts = [head, '"certificates": ']
+    sep = "[\n    "
+    for t in report.texts:
+        parts += [sep, t[:-1].replace("\n", "\n    ")]
+        sep = ",\n    "
+    parts.append("\n  ]" if report.texts else "[]")
+    parts.append(tail)
+    text = "".join(parts)
     if destination is not None:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write(text)

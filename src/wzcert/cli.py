@@ -96,6 +96,10 @@ def _cmd_eigenform(args):
     if not blocks:
         print(f"# no cusp forms in weight {k}")
         return 0
+    if not blocks[0]["ss"]:
+        covered = sum(block["d"] * block["mult"] for block in blocks)
+        print(f"# the Hecke action on S_{k} mod {p} is not semisimple: the "
+              f"eigen systems cover {covered} of {qseries.dim_cusp(k)} dimensions")
     for i, block in enumerate(blocks):
         print(f"# system {i}: degree {block['d']}, multiplicity {block['mult']}")
         for n, coords in enumerate(block["coeffs"]):

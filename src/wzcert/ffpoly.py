@@ -70,7 +70,7 @@ class ExtField:
     """GF(p)[x]/(modulus) for a monic irreducible modulus over a PrimeField."""
 
     __slots__ = ("base", "modulus", "d", "p", "degree", "order", "zero", "one", "gen",
-                 "_redrow")
+                 "_redrow", "_frob")
 
     def __init__(self, base, modulus):
         if type(base) is not PrimeField:
@@ -88,6 +88,7 @@ class ExtField:
         self.gen = (0, 1) + (0,) * (self.d - 2) if self.d > 1 else (-modulus[0] % p,)
         # reduction row: x^d = -(m_0 + ... + m_{d-1} x^{d-1})
         self._redrow = tuple(-c % p for c in self.modulus[:-1])
+        self._frob = None
 
     def add(self, a, b):
         p = self.p
@@ -143,7 +144,12 @@ class ExtField:
         return out
 
     def frob(self, a):
-        return self.pow_(a, self.p)
+        """a^p, as one vector-matrix product: Frobenius is GF(p)-linear, and
+        row i of its matrix is x^(ip) mod the modulus (built once per field)."""
+        if self._frob is None:
+            C = np.array([self.modulus[:-1]], dtype=np.int64)
+            self._frob = _frobenius(C, self.p, 0)[0][0]
+        return tuple((np.array(a, dtype=np.int64) @ self._frob % self.p).tolist())
 
     def coords(self, a):
         return tuple(a)
@@ -178,10 +184,6 @@ def ptrim(F, c):
 
 def pdeg(f):
     return len(f) - 1
-
-
-def pconst(F, a):
-    return () if a == F.zero else (a,)
 
 
 def padd(F, f, g):
@@ -282,21 +284,6 @@ def ppowmod(F, f, e, m):
 
 def pderiv(F, f):
     return ptrim(F, [F.mul(F.from_int(i), c) for i, c in enumerate(f)][1:])
-
-
-def peval(F, f, x):
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def pcompose_mod(F, f, g, m):
-    """f(g) mod m by Horner."""
-    acc = ()
-    for c in reversed(f):
-        acc = padd(F, pmod(F, pmul(F, acc, g), m), pconst(F, c))
-    return acc
 
 
 def pfrom_ints(F, ints):
@@ -433,67 +420,129 @@ def factor_monic(F, f):
 # canonical extension fields and embeddings
 
 
+def check_int64(p, terms, where):
+    """Raise ValueError unless a sum of `terms` products of residues mod p
+    stays below 2^63, i.e. unless terms*(p-1)^2 < 2^63 holds, so that an int64
+    kernel computing such sums is exact."""
+    if terms * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"{where}: int64 arithmetic needs {terms}*(p-1)^2 < 2^63, "
+                         f"and p = {p} exceeds that bound")
+
+
+def _frobenius(C, p, tmax):
+    """Frobenius data of the monic f_n = x^d + sum_j C[n, j] x^j over GF(p),
+    one per row of the (N, d) int64 array C of residues.
+
+    Returns (Q, H): Q[n] is the d x d Frobenius matrix of f_n, whose row i is
+    x^(ip) mod f_n, so (v @ Q[n]) % p is v(x)^p mod f_n (Berlekamp's Q-matrix);
+    H[n, t] = x^(p^t) mod f_n for 0 <= t <= tmax.  Every sum below has at most
+    2d-1 products of residues: the bound checked first.
+    """
+    N, d = C.shape
+    check_int64(p, 2 * d - 1, "Frobenius matrix")
+    C = C % p
+    neg = -C % p                         # x^d mod f_n
+
+    def times_x(v):
+        out = np.zeros_like(v)
+        out[:, 1:] = v[:, :-1]
+        return (out + v[:, -1:] * neg) % p
+
+    # hi[n, s] = x^(d+s) mod f_n reduces the top half of a product
+    hi = np.empty((N, d - 1, d), dtype=np.int64)
+    row = neg
+    for s in range(d - 1):
+        hi[:, s] = row
+        row = times_x(row)
+
+    def mulmod(a, b):
+        prod = np.zeros((N, 2 * d - 1), dtype=np.int64)   # d products a term
+        for i in range(d):
+            prod[:, i:i + d] += a[:, i:i + 1] * b
+        # d + (d-1) products a term
+        return (prod[:, :d] + (prod[:, None, d:] % p @ hi)[:, 0]) % p
+
+    one = np.zeros((N, d), dtype=np.int64)
+    one[:, 0] = 1
+    xp = one
+    for bit in bin(p)[2:]:
+        xp = mulmod(xp, xp)
+        if bit == "1":
+            xp = times_x(xp)
+    Q = np.empty((N, d, d), dtype=np.int64)
+    Q[:, 0] = one
+    for i in range(1, d):
+        Q[:, i] = mulmod(Q[:, i - 1], xp)
+    H = np.empty((N, tmax + 1, d), dtype=np.int64)
+    H[:, 0] = times_x(one)
+    for t in range(tmax):
+        H[:, t + 1] = (H[:, t, None] @ Q)[:, 0] % p         # d products a term
+    return Q, H
+
+
+_SEARCH_BLOCK = 64      # candidates per block of the modulus search
+_POINT_BLOCK = 512      # points per block of the root evaluation
+
+
+def _rootless(C, p):
+    """Mask of the monic x^d + sum_j C[n, j] x^j with no root in GF(p)^*.
+
+    Horner's rule keeps each value at most (p-1)^2 + (p-1), within two residue
+    products; the points go in blocks, so memory stays bounded for any p.
+    """
+    check_int64(p, 2, "root evaluation")
+    keep = np.ones(len(C), dtype=bool)
+    for lo in range(1, p, _POINT_BLOCK):
+        idx = np.flatnonzero(keep)
+        if not idx.size:
+            break
+        pts = np.arange(lo, min(p, lo + _POINT_BLOCK), dtype=np.int64)
+        acc = np.ones((idx.size, pts.size), dtype=np.int64)
+        for j in range(C.shape[1] - 1, -1, -1):
+            acc = (acc * pts + C[idx, j:j + 1]) % p
+        keep[idx[(acc == 0).any(axis=1)]] = False
+    return keep
+
+
 @memo()
 def canonical_modulus(p, d):
     """Lex-least monic irreducible of degree d over GF(p), as int coefficients.
 
     Coefficient tuples (c_{d-1}, ..., c_0) are compared most-significant first,
-    which is the ascending order of the integer sum(c_j p^j).
+    which is the ascending order of the integer t = sum(c_j p^j).  Candidates
+    are searched in blocks of consecutive t.  Those with c_0 = 0 or a root in
+    GF(p) are dropped; for the rest, x^(p^s) mod f comes from their Frobenius
+    matrices.  The first candidate in order with x^(p^d) = x and
+    gcd(x^(p^(d/r)) - x, f) = 1 for every prime r | d is irreducible (Rabin,
+    "Probabilistic algorithms in finite fields", 1980); the gcds are exact.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d == 1:
         return (0, 1)
+    check_int64(p, 2 * d - 1, "canonical_modulus")
     F = PrimeField(p)
-    t = 0
+    x = (0, 1)
+    tops = [d // r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
+    start = 0
     while True:
-        digits = []
-        tt = t
-        for _ in range(d):
-            digits.append(tt % p)
-            tt //= p
-        t += 1
-        if digits[0] == 0:
-            continue  # divisible by x
-        f = tuple(digits) + (1,)
-        if any(peval(F, f, a) == 0 for a in range(p)):
+        t = np.arange(start, start + _SEARCH_BLOCK, dtype=np.int64)
+        start += _SEARCH_BLOCK
+        C = np.zeros((t.size, d), dtype=np.int64)
+        for j in range(d):
+            if p**j >= start:
+                break       # this digit and every higher one are 0
+            C[:, j] = t // p**j % p
+        C = C[C[:, 0] != 0]
+        C = C[_rootless(C, p)]
+        if not C.size:
             continue
-        if _is_irreducible(F, f):
-            return f
-
-
-def _is_irreducible(F, f):
-    """Rabin test for monic f over a prime field."""
-    d = pdeg(f)
-    p = F.p
-    x = (F.zero, F.one)
-    # x^(p^t) mod f for the maximal proper divisors t = d/r, then t = d
-    h1 = ppowmod(F, x, p, f)
-    pows = {1: h1}
-
-    def xp_power(t):
-        if t in pows:
-            return pows[t]
-        h = xp_power(t - 1)
-        pows[t] = pcompose_mod(F, h, h1, f)
-        return pows[t]
-
-    r = 2
-    dd = d
-    checked = set()
-    while r * r <= dd:
-        if dd % r == 0:
-            checked.add(d // r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    if dd > 1:
-        checked.add(d // dd)
-    for t in sorted(checked):
-        g = pgcd(F, psub(F, xp_power(t), x), f)
-        if pdeg(g) != 0:
-            return False
-    return psub(F, xp_power(d), x) == ()
+        _Q, H = _frobenius(C, p, d)
+        for n in np.flatnonzero((H[:, d] == H[:, 0]).all(axis=1)):
+            f = tuple(C[n].tolist()) + (1,)
+            if all(pgcd(F, psub(F, ptrim(F, H[n, s].tolist()), x), f) == (1,)
+                   for s in tops):
+                return f
 
 
 @memo()
@@ -547,8 +596,12 @@ def _find_root_vectorized(g_ints, K):
         row = pmod(Fp, (0,) * t + (1,), g)
         redg[t, :len(row)] = row
 
+    # polynomials over K have at most dp rows and D columns, so a product has
+    # at most dp*D residue products a term; the reductions take 2D-1 and 2dp-1
+    check_int64(p, dp * D, "embed_root")
+
     def reduce_gamma(raw):
-        cols = raw @ redm[:raw.shape[1]] % p
+        cols = raw % p @ redm[:raw.shape[1]] % p
         if cols.shape[0] > dp:
             cols = redg[:cols.shape[0]].T @ cols % p
         return cols
@@ -557,15 +610,11 @@ def _find_root_vectorized(g_ints, K):
         return reduce_gamma(convolve2d(A, B))
 
     # x^(p^i) mod g stay prime-field polynomials
-    x = (0, 1)
-    h1 = ppowmod(Fp, x, p, g)
-    hp = [x]
-    for _ in range(dp - 1):
-        hp.append(pcompose_mod(Fp, hp[-1], h1, g))
+    hp = _frobenius(np.array([g_ints[:-1]], dtype=np.int64), p, dp - 1)[1][0]
     hmat = []
     for h in hp:
         A = np.zeros((dp, D), dtype=np.int64)
-        A[:len(h), 0] = h
+        A[:, 0] = h
         hmat.append(A)
 
     def norm_resolvent(a):

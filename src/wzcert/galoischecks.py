@@ -85,12 +85,17 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     return None
 
 
-def split_verdict(p: int, k: int, fsys, B: int | None = None) -> CheckVerdict:
+_SEARCH = object()
+
+
+def split_verdict(p: int, k: int, fsys, B: int | None = None,
+                  found=_SEARCH) -> CheckVerdict:
     """PASS iff a companion system exists in weight p+1-k.
 
     A PASS is rigorous modulo the companion-form criterion for local
     semisimplicity and the stated congruence bound; a FAIL records an
-    exhaustive search of the cuspidal target space.
+    exhaustive search of the cuspidal target space.  A caller that already
+    holds companion_match(p, k, fsys, B) passes it as `found`.
     """
     if not fsys.ordinary:
         raise ValueError("split verdict requires an ordinary system")
@@ -104,7 +109,8 @@ def split_verdict(p: int, k: int, fsys, B: int | None = None) -> CheckVerdict:
             "reason": "no cusp forms in the companion weight; unramified-twist "
                       "companions outside the cuspidal range are not searched",
         })
-    found = companion_match(p, k, fsys, B)
+    if found is _SEARCH:
+        found = companion_match(p, k, fsys, B)
     if found is None:
         return CheckVerdict("companion_split", FAIL, {
             "companion_weight": kk,

@@ -274,6 +274,7 @@ def _leaf_class(p, k, d, K, space, path, B, prec0):
     D = K.degree
     V = np.array([K.coords(x) for x in v], dtype=np.int64)       # d x D
     R = np.array(rows, dtype=np.int64)                           # d x prec
+    ffpoly.check_int64(p, d, "eigenform expansion")              # d products a term
     C = (R.T @ V) % p                                            # prec x D
     values = {}
     for ell in primes_up_to(B):
@@ -400,19 +401,22 @@ def ap_profile(p: int, k: int, B: int | None = None) -> list:
 def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
     """Normalized eigenform q-expansions per eigen system class, as coordinate
     rows in the canonical value field: one dict per class with keys d, mult,
-    coeffs (list of coords tuples, index = power of q)."""
+    ss (the weight's flag: the Hecke action on S_k is semisimple, so the
+    classes cover the space) and coeffs (list of coords tuples, index = power
+    of q)."""
     if B is None:
         B = default_bound(p)
-    raw, _ss, d = _raw_classes(p, k, B)
+    raw, ss, d = _raw_classes(p, k, B)
     out = []
     for r in raw:
         K = r.field
         rows = _basis_rows(p, k, max(prec, p + 2, 2 * d + 2, B + 2))
         V = np.array([K.coords(x) for x in r.vec], dtype=np.int64)
         R = np.array([row[:max(prec, 1)] for row in rows], dtype=np.int64)
+        ffpoly.check_int64(p, d, "eigenform expansion")          # d products a term
         C = (R.T @ V) % p
         ev, K_can = _canonical_map(p, r)
         coeffs = [K_can.coords(ev(K.from_coords(tuple(int(x) for x in c))))
                   for c in C[:prec]]
-        out.append({"d": K.degree, "mult": r.mult, "coeffs": coeffs})
+        out.append({"d": K.degree, "mult": r.mult, "ss": ss, "coeffs": coeffs})
     return out

@@ -69,15 +69,22 @@ def test_certify_empty_candidates():
 def test_certify_ordinary_bimg(monkeypatch):
     from wzcert import galoischecks
     bounds = []
+    searched = []
 
     def spy(p, k, fsys, B=None):
         bounds.append(B)
+        searched.append((k, fsys.d, [fsys.values[ell].coeffs
+                                     for ell in (2, 3, 5, 7, 11, 13)]))
         return companion_match(p, k, fsys, B)
 
     monkeypatch.setattr(galoischecks, "companion_match", spy)
     cert = cf.certify_ordinary(107, B_img=20)
-    # the verdicts and the split-pair survey share the companion bound
+    # the verdicts and the split-pair survey share the companion bound and
+    # search each (weight, class) once, although the verdicts' classes are
+    # computed to B_img and the survey's to B
     assert bounds and set(bounds) == {13}
+    assert all(searched.count(x) == 1 for x in searched)
+    assert 26 in [k for k, _d, _values in searched]
     assert cert.split_pairs == cf.certify_ordinary(107).split_pairs
     assert cert.conclusion == cf.CERTIFIED
     assert cert.bounds == {"B": 20, "B_img": 20, "strict": False,
@@ -212,6 +219,13 @@ def test_cli_eigenform_space_larger_than_field(capsys):
                      "--modp", "7"]) == 0
     out = capsys.readouterr().out
     assert sum(line.startswith("# system ") for line in out.splitlines()) == 3
+    # the three classes span 1 + 1 + 2 of the 7 dimensions, and say so
+    assert out.splitlines()[0] == ("# the Hecke action on S_90 mod 7 is not "
+                                   "semisimple: the eigen systems cover 4 of 7 "
+                                   "dimensions")
+    assert cli.main(["eigenform", "--weight", "24", "--prec", "3",
+                     "--modp", "41"]) == 0
+    assert "semisimple" not in capsys.readouterr().out
 
 
 def test_cli_scan(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,19 @@ import pytest
 from wzcert import ffpoly
 from wzcert.cache import clear_memos
 from wzcert.hecke import _embedding
+from wzcert.primes import primes_up_to
+
+# sha256 of the moduli of every prime 5 < p <= 180 and 2 <= d <= 14, as
+# recorded from the per-candidate root scan and Rabin test the batched
+# search replaced
+MODULI_SHA256 = "d8245f745502d0d5967e6b74e0bfe7f9319ad54777b6c9f144e4d919b3932a57"
+
+
+def peval(K, f, x):
+    acc = K.zero
+    for c in reversed(f):
+        acc = K.add(K.mul(acc, x), c)
+    return acc
 
 
 def test_embed_root_battery():
@@ -19,7 +34,7 @@ def test_embed_root_battery():
             for mult in (1, 2):
                 K = ffpoly.canonical_field(p, dp * mult)
                 r = ffpoly.embed_root(g, K)
-                assert ffpoly.peval(K, ffpoly._lift_poly(K, g), r) == K.zero
+                assert peval(K, ffpoly._lift_poly(K, g), r) == K.zero
 
 
 def test_embed_root_deterministic():
@@ -65,3 +80,37 @@ def test_ext_field_needs_prime_base():
     with pytest.raises(TypeError):
         ffpoly.ExtField(K, (K.gen, K.zero, K.one))
     assert ffpoly.ExtField(Fp, (2, 1, 1)).degree == 2
+
+
+def test_canonical_moduli_pinned():
+    clear_memos()
+    rows = [[p, d, list(ffpoly.canonical_modulus(p, d))]
+            for p in primes_up_to(180) if p > 5 for d in range(2, 15)]
+    assert len(rows) == 494
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == MODULI_SHA256
+
+
+def test_canonical_modulus_int64_bound():
+    # 2^31 - 1 is prime, and 3*(p-1)^2 exceeds 2^63
+    with pytest.raises(ValueError, match=r"3\*\(p-1\)\^2 < 2\^63"):
+        ffpoly.canonical_modulus(2**31 - 1, 2)
+    with pytest.raises(ValueError, match="not prime"):
+        ffpoly.canonical_modulus(2**31, 2)
+
+
+def test_frob_is_pth_power():
+    rng = random.Random(11)
+    Fp = ffpoly.canonical_field(7, 1)
+    fields = [ffpoly.canonical_field(p, d)
+              for p, d in ((2, 5), (3, 4), (7, 2), (41, 3), (107, 6), (179, 14))]
+    # non-canonical moduli: GF(5)[x]/(x^2 + x + 2) and a cubic over GF(7)
+    fields.append(ffpoly.ExtField(ffpoly.canonical_field(5, 1), (2, 1, 1)))
+    cubic = (1, 1, 0, 1)
+    assert ffpoly.factor_monic(Fp, cubic) == [(cubic, 1)]
+    fields.append(ffpoly.ExtField(Fp, cubic))
+    for K in fields:
+        assert K.frob(K.one) == K.one
+        for _ in range(40):
+            a = K.from_counter(rng.randrange(K.order))
+            assert K.frob(a) == K.pow_(a, K.p)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import wzcert
 from wzcert import cache, certify as cf, ffpoly, hecke, qseries
 from wzcert.cache import DiskCache
 from wzcert.exactarith import ExtFieldElem
@@ -195,6 +196,36 @@ def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache):
         disk.put("eigsys", key, [damaged[0]])
         cache.clear_memos()
         assert cf.certify_ordinary(107).conclusion == cf.CERTIFIED
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_entry_of_another_schema_is_a_miss(tmp_path, isolated_cache):
+    # a well-formed entry whose value is wrong: only its schema gives it away
+    key = (107, 26, 13)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = hecke.eigensystems(107, 26, 13)
+        path = disk._path("eigsys", key)
+        with open(path, encoding="ascii") as fh:
+            good = fh.read()
+        doc = json.loads(good)
+        assert doc["schema"] == wzcert.CACHE_SCHEMA
+        item = doc["value"][0]
+        wrong = dict(item, values=dict(item["values"], **{"2": ["1"]}))
+        for schema in (wzcert.CACHE_SCHEMA - 1, None):
+            planted = dict(doc, value=[wrong], schema=schema)
+            if schema is None:
+                del planted["schema"]
+            with open(path, "w", encoding="ascii") as fh:
+                json.dump(planted, fh)
+            assert disk.get("eigsys", key) is None
+            cache.clear_memos()
+            assert hecke.eigensystems(107, 26, 13) == fresh
+            with open(path, encoding="ascii") as fh:
+                assert fh.read() == good
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
 

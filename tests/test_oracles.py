@@ -97,3 +97,18 @@ def test_factor_monic_oracle():
                 want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), m)
                               for g, m in want)
                 assert sorted(ffpoly.factor_monic(F, f)) == want, (p, f)
+
+
+def test_canonical_modulus_oracle():
+    """The modulus is irreducible by sympy, and sympy finds every monic
+    candidate before it in the lex order (c_{d-1}, ..., c_0) reducible."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, d in ((2, 2), (2, 7), (3, 4), (5, 6), (7, 2), (7, 3), (7, 12),
+                 (13, 5), (23, 12), (89, 4), (89, 12), (179, 8)):
+        mod = ffpoly.canonical_modulus(p, d)
+        order = sum(c * p**j for j, c in enumerate(mod[:-1]))
+        for t in range(order + 1):
+            coeffs = [t // p**j % p for j in range(d)] + [1]
+            poly = sympy.Poly(list(reversed(coeffs)), x, modulus=p)
+            assert poly.is_irreducible == (t == order), (p, d, coeffs)

@@ -101,3 +101,18 @@ def test_both_mode_scan_decomposes_each_weight_once(tmp_path, fresh_caches,
     # primes would find the early ones evicted
     assert len(requested) > info.maxsize
     assert info.misses == len(requested)
+
+
+def test_emit_report_splices_the_certificate_texts(fresh_caches):
+    for jobs in (1, 2):
+        fresh_caches(f"jobs{jobs}")
+        reports = cf.scan(60, cf.MODES, jobs=jobs)
+        assert [r.mode for r in reports] == list(cf.MODES)
+        for report in reports:
+            assert report.texts == [cf.emit_certificate(c)
+                                    for c in report.certificates]
+            want = json.dumps(report.as_doc(), sort_keys=True, indent=2,
+                              ensure_ascii=True) + "\n"
+            # compared line by line, so a failure names the first bad line
+            assert cf.emit_report(report).split("\n") == want.split("\n")
+        assert reports[0].as_doc()["split_pair_primes"] == []
