@@ -11,7 +11,6 @@ splitting elements are enumerated systematically rather than sampled.
 """
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .cache import memo
 from .primes import is_prime
@@ -186,15 +185,6 @@ def pdeg(f):
     return len(f) - 1
 
 
-def padd(F, f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = F.add(out[i], c)
-    return ptrim(F, out)
-
-
 def psub(F, f, g):
     n = max(len(f), len(g))
     out = []
@@ -291,7 +281,7 @@ def pfrom_ints(F, ints):
 
 
 # ---------------------------------------------------------------------------
-# factorization over F (odd order)
+# factorization over F of odd order
 
 
 def _pth_root_poly(F, f):
@@ -351,43 +341,38 @@ def _distinct_degree(F, f):
 
 
 def _equal_degree(F, f, t):
-    """Split squarefree monic f (all irreducible factors of degree t) completely."""
-    if pdeg(f) == t:
-        return [f]
+    """Split squarefree monic f (all irreducible factors of degree t) completely.
+
+    Over GF(p) the trials are x, x+1, ...; over an extension field they start
+    at x + from_counter(p), the generator's shift: shifts from a subfield never
+    split roots that are conjugate over that subfield, because the quadratic
+    character is Galois-stable.
+    """
     q = F.order
-    odd = q % 2 == 1
-    e = (q**t - 1) // 2 if odd else None
+    e = (q**t - 1) // 2
     work = [f]
     done = []
-    counter = q  # first non-constant polynomial in the canonical enumeration
+    counter = q if F.degree == 1 else q + F.p   # x + from_counter(counter - q)
+    guard = 0
     while work:
         g = work.pop()
         if pdeg(g) == t:
             done.append(g)
             continue
         while True:
+            guard += 1
+            if guard > 10000:
+                raise RuntimeError("root splitting failed to converge")
             b = _poly_from_counter(F, counter, pdeg(g))
             counter += 1
             c = pgcd(F, b, g)
             if 0 < pdeg(c) < pdeg(g):
-                work.append(c)
-                work.append(pdivmod(F, g, c)[0])
                 break
-            if odd:
-                s = ppowmod(F, b, e, g)
-            else:
-                # characteristic 2: additive trace map splits instead of squares
-                s = b
-                acc = b
-                bits = t * (q.bit_length() - 1)
-                for _ in range(bits - 1):
-                    acc = pmod(F, pmul(F, acc, acc), g)
-                    s = padd(F, s, acc)
-            c = pgcd(F, psub(F, s, (F.one,)) if odd else s, g)
+            c = pgcd(F, psub(F, ppowmod(F, b, e, g), (F.one,)), g)
             if 0 < pdeg(c) < pdeg(g):
-                work.append(c)
-                work.append(pdivmod(F, g, c)[0])
                 break
+        work.append(c)
+        work.append(pdivmod(F, g, c)[0])
     return done
 
 
@@ -403,9 +388,13 @@ def _poly_from_counter(F, t, maxdeg):
 
 
 def factor_monic(F, f):
-    """[(g, mult)] with g monic irreducible, canonically sorted, prod g^mult = f."""
+    """[(g, mult)] with g monic irreducible, canonically sorted, prod g^mult = f.
+
+    F must have odd order."""
     if pdeg(f) < 1:
         raise ValueError("factor input must have degree >= 1")
+    if F.order % 2 == 0:
+        raise ValueError("factorization needs a field of odd order")
     f = pmonic(F, f)
     out = []
     for sqf, m in squarefree_decomposition(F, f):
@@ -562,8 +551,9 @@ def embed_root(g_ints, K):
     they evaluate to prime-field scalars at every root and only need exponent
     (p-1)/2.  Because g keeps prime-field coefficients, all heavy arithmetic
     vectorizes: polynomials over K are integer matrices (rows = x-degree,
-    columns = generator coordinates), multiplied by 2-D convolution and
-    reduced by precomputed matrices on either axis.
+    columns = generator coordinates), multiplied by one exact int64
+    convolution of their flattened rows and reduced by precomputed matrices
+    on either axis.
     """
     dp = len(g_ints) - 1
     if K.degree % dp:
@@ -583,9 +573,8 @@ def _find_root_vectorized(g_ints, K):
     dp = len(g_ints) - 1
     Fp = canonical_field(p, 1)
     g = pfrom_ints(Fp, g_ints)
-    # column reduction: y^j mod m for j < 2D-1, as a (2D-1) x D matrix
-    m_ints = canonical_modulus(p, D)
-    m = pfrom_ints(Fp, m_ints)
+    # column reduction: y^j mod K's modulus m for j < 2D-1, a (2D-1) x D matrix
+    m = K.modulus
     redm = np.zeros((2 * D - 1, D), dtype=np.int64)
     for j in range(2 * D - 1):
         row = pmod(Fp, (0,) * j + (1,), m)
@@ -606,8 +595,18 @@ def _find_root_vectorized(g_ints, K):
             cols = redg[:cols.shape[0]].T @ cols % p
         return cols
 
+    W = 2 * D - 1
+
+    def flat(A):
+        # rows W apart, trailing zeros dropped
+        out = np.zeros((A.shape[0], W), dtype=np.int64)
+        out[:, :D] = A
+        return out.ravel()[:out.size - D + 1]
+
     def mulmod(A, B):
-        return reduce_gamma(convolve2d(A, B))
+        # a column index of the product is at most 2D-2 < W, so the row blocks
+        # of the one flat convolution never overlap
+        return reduce_gamma(np.convolve(flat(A), flat(B)).reshape(-1, W))
 
     # x^(p^i) mod g stay prime-field polynomials
     hp = _frobenius(np.array([g_ints[:-1]], dtype=np.int64), p, dp - 1)[1][0]
@@ -641,7 +640,7 @@ def _find_root_vectorized(g_ints, K):
     def rows_to_poly(A):
         return ptrim(K, [K.from_coords(tuple(int(v) for v in row)) for row in A])
 
-    current = _lift_poly(K, g)
+    current = pfrom_ints(K, g_ints)
     one_poly = (K.one,)
     # prime-field shifts make the norm resolvent constant on the conjugate
     # orbit, so enumeration starts at the first element outside GF(p)
@@ -664,48 +663,9 @@ def _find_root_vectorized(g_ints, K):
     return K.neg(current[0])
 
 
-def _lift_poly(K, f_over_prime):
-    """Lift a prime-field polynomial to K coefficients."""
-    if isinstance(K, PrimeField):
-        return tuple(f_over_prime)
-    return ptrim(K, [K.from_int(c) for c in f_over_prime])
-
-
 def split_roots(K, f):
-    """All roots in K of monic squarefree f over K that splits completely in K.
-
-    The roots may be conjugate over a subfield, and the quadratic character is
-    Galois-stable, so shifts fixed by that conjugation can never separate
-    them; enumeration therefore starts at the first element outside GF(p)
-    (which lies in no proper subfield of K).
-    """
-    q = K.order
-    e = (q - 1) // 2
-    roots = []
-    work = [pmonic(K, f)]
-    counter = K.p - 1
-    guard = 0
-    while work:
-        g = work.pop()
-        if pdeg(g) == 1:
-            roots.append(K.neg(g[0]))
-            continue
-        while True:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("root splitting failed to converge")
-            counter += 1
-            b = (K.from_counter(counter), K.one)
-            c = pgcd(K, b, g)
-            if 0 < pdeg(c) < pdeg(g):
-                work.append(c)
-                work.append(pdivmod(K, g, c)[0])
-                break
-            s = ppowmod(K, b, e, g)
-            c = pgcd(K, psub(K, s, (K.one,)), g)
-            if 0 < pdeg(c) < pdeg(g):
-                work.append(c)
-                work.append(pdivmod(K, g, c)[0])
-                break
+    """All roots in K of monic squarefree f over K that splits completely in K,
+    sorted by coordinates."""
+    roots = [K.neg(g[0]) for g in _equal_degree(K, pmonic(K, f), 1)]
     roots.sort(key=K.coords)
     return roots

@@ -206,7 +206,7 @@ def _raw_classes(p, k, B):
         space = mat_nullspace(K, A)
         path = ((2, _factor_key(Fp, g)),)
         leaves.extend(_refine(p, k, d, K, space, path, ells, 1, B, prec0))
-    classes = [_leaf_class(p, k, d, K, space, path, B, prec0)
+    classes = [_leaf_class(p, k, K, space, path, B, prec0)
                for K, space, path in leaves]
     classes.sort(key=lambda c: c.path)
     semisimple = sum(c.field.degree * c.mult for c in classes) == d
@@ -260,7 +260,7 @@ def _dot(K, a, b):
     return acc
 
 
-def _leaf_class(p, k, d, K, space, path, B, prec0):
+def _leaf_class(p, k, K, space, path, B, prec0):
     rows = _basis_rows(p, k, prec0)
     space = [tuple(r) for r in rref(K, space)[0] if any(x != K.zero for x in r)]
     pick = next((v for v in space if v[0] != K.zero), None)
@@ -271,17 +271,19 @@ def _leaf_class(p, k, d, K, space, path, B, prec0):
                               "which no Hecke-stable space can have")
     inv0 = K.inv(pick[0])
     v = [K.mul(inv0, x) for x in pick]
-    D = K.degree
-    V = np.array([K.coords(x) for x in v], dtype=np.int64)       # d x D
-    R = np.array(rows, dtype=np.int64)                           # d x prec
-    ffpoly.check_int64(p, d, "eigenform expansion")              # d products a term
-    C = (R.T @ V) % p                                            # prec x D
-    values = {}
-    for ell in primes_up_to(B):
-        if ell != p:
-            values[ell] = K.from_coords(tuple(int(x) for x in C[ell]))
-    ap = K.from_coords(tuple(int(x) for x in C[p]))
+    ells = [ell for ell in primes_up_to(B) if ell != p]
+    *coeffs, ap = _coefficients(p, rows, K, v, ells + [p])
+    values = dict(zip(ells, coeffs))
     return _RawClass(K, values, ap, len(space), path, v)
+
+
+def _coefficients(p, rows, K, vec, idx):
+    """The coefficients a_n, n in idx, of sum_j vec[j] * (basis form j), as
+    elements of K: one product of the basis rows with vec's coordinates."""
+    V = np.array([K.coords(x) for x in vec], dtype=np.int64)               # d x D
+    R = np.array(rows, dtype=np.int64)[:, np.asarray(idx, dtype=np.intp)]  # d x len(idx)
+    ffpoly.check_int64(p, len(vec), "eigenform expansion")                 # d products a term
+    return [K.from_coords(tuple(c)) for c in ((R.T @ V) % p).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,20 @@ def _system_from_doc(p, k, B, doc):
     return EigenSystem(p, k, d, values, elem(doc["ap"]), doc["mult"], doc["ss"], B)
 
 
+def _fits(k, classes, semisimple):
+    """Whether cached classes [(d, mult)] can be all the classes of S_k: some
+    class when dim S_k > 0, int d and mult >= 1, and sum d*mult <= dim S_k,
+    with equality when the Hecke action is semisimple."""
+    dim = dim_cusp(k)
+    if dim and not classes:
+        return False
+    if not all(type(d) is int and type(m) is int and d >= 1 and m >= 1
+               for d, m in classes):
+        return False
+    covered = sum(d * m for d, m in classes)
+    return covered == dim if semisimple else covered <= dim
+
+
 def eigensystems(p: int, k: int, B: int | None = None) -> list:
     """One EigenSystem per Galois-conjugacy class of mod-p eigen systems on S_k."""
     if not is_prime(p) or p <= 5:
@@ -367,9 +383,13 @@ def _systems(p, k, B):
     doc = dc.get("eigsys", key) if dc else None
     if doc is not None:
         try:
-            return [_system_from_doc(p, k, B, item) for item in doc]
+            systems = [_system_from_doc(p, k, B, item) for item in doc]
+            if _fits(k, [(s.d, s.mult) for s in systems],
+                     any(s.semisimple_action for s in systems)):
+                return systems
         except (KeyError, TypeError, ValueError):
-            pass  # malformed entry: recompute and overwrite it
+            pass
+        # malformed entry, or one that drops classes: recompute and overwrite it
     raw, semisimple, _d = _raw_classes(p, k, B)
     systems = [_canonical_system(p, k, r, B, semisimple) for r in raw]
     if dc:
@@ -389,7 +409,10 @@ def ap_profile(p: int, k: int, B: int | None = None) -> list:
     key = (p, k, B)
     dc = diskcache.get_cache()
     doc = dc.get("profile", key) if dc else None
-    if doc is not None:
+    if (isinstance(doc, list)
+            and all(isinstance(item, list) and len(item) == 3 and type(item[1]) is bool
+                    for item in doc)
+            and _fits(k, [(d, mult) for d, _zero, mult in doc], False)):
         return [tuple(item) for item in doc]
     raw, _ss, _d = _raw_classes(p, k, B)
     out = [(r.field.degree, r.ap == r.field.zero, r.mult) for r in raw]
@@ -411,12 +434,8 @@ def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
     for r in raw:
         K = r.field
         rows = _basis_rows(p, k, max(prec, p + 2, 2 * d + 2, B + 2))
-        V = np.array([K.coords(x) for x in r.vec], dtype=np.int64)
-        R = np.array([row[:max(prec, 1)] for row in rows], dtype=np.int64)
-        ffpoly.check_int64(p, d, "eigenform expansion")          # d products a term
-        C = (R.T @ V) % p
         ev, K_can = _canonical_map(p, r)
-        coeffs = [K_can.coords(ev(K.from_coords(tuple(int(x) for x in c))))
-                  for c in C[:prec]]
+        coeffs = [K_can.coords(ev(c))
+                  for c in _coefficients(p, rows, K, r.vec, range(prec))]
         out.append({"d": K.degree, "mult": r.mult, "ss": ss, "coeffs": coeffs})
     return out

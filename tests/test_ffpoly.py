@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import wzcert
 from wzcert import ffpoly
 from wzcert.cache import clear_memos
 from wzcert.hecke import _embedding
@@ -34,7 +38,29 @@ def test_embed_root_battery():
             for mult in (1, 2):
                 K = ffpoly.canonical_field(p, dp * mult)
                 r = ffpoly.embed_root(g, K)
-                assert peval(K, ffpoly._lift_poly(K, g), r) == K.zero
+                assert peval(K, ffpoly.pfrom_ints(K, g), r) == K.zero
+
+
+def _irreducible(F, d, c0):
+    """The first monic x^d + x + c irreducible over F with c >= c0."""
+    for c in range(c0, c0 + 1000):
+        f = (c, 1) + (0,) * (d - 2) + (1,)
+        if ffpoly.factor_monic(F, f) == [(f, 1)]:
+            return f
+    raise AssertionError("no irreducible found")
+
+
+def test_embed_root_is_exact_for_large_primes():
+    # at p = 100000007 a residue product exceeds 2^53, so a float convolution
+    # would round it; the int64 bound dp*D*(p-1)^2 < 2^63 still holds
+    for p in (999983, 100000007):
+        Fp = ffpoly.canonical_field(p, 1)
+        for d in (2, 3, 4):
+            K = ffpoly.ExtField(Fp, _irreducible(Fp, d, 1))
+            g = _irreducible(Fp, d, K.modulus[0] + 1)
+            r = ffpoly.embed_root(g, K)
+            assert peval(K, ffpoly.pfrom_ints(K, g), r) == K.zero
+    assert (100000007 - 1) ** 2 > 2**53
 
 
 def test_embed_root_deterministic():
@@ -114,3 +140,11 @@ def test_frob_is_pth_power():
         for _ in range(40):
             a = K.from_counter(rng.randrange(K.order))
             assert K.frob(a) == K.pow_(a, K.p)
+
+
+def test_cli_import_needs_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wzcert.__file__)))
+    code = "import sys, wzcert.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -230,6 +230,62 @@ def test_entry_of_another_schema_is_a_miss(tmp_path, isolated_cache):
         cache.set_cache(DiskCache(str(isolated_cache)))
 
 
+def _served_after_planting(disk, namespace, key, bad, compute):
+    """Plant `bad` under key, then compute from empty memos."""
+    disk.put(namespace, key, bad)
+    cache.clear_memos()
+    return compute()
+
+
+def test_eigsys_entry_that_drops_classes_is_a_miss(tmp_path, isolated_cache):
+    # dim S_26 = 1: one rational class, and the action is semisimple
+    key = (107, 26, 13)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = hecke.eigensystems(*key)
+        good = disk.get("eigsys", key)
+        [item] = good
+        assert (item["d"], item["mult"], item["ss"]) == (1, 1, True)
+        for bad in ([], [item, item], [dict(item, mult=0)], [dict(item, mult=2)],
+                    [dict(item, mult=True)], [dict(item, mult=1.0)]):
+            assert _served_after_planting(
+                disk, "eigsys", key, bad, lambda: hecke.eigensystems(*key)) == fresh
+            assert disk.get("eigsys", key) == good
+        disk.put("eigsys", key, [])
+        cache.clear_memos()
+        assert cf.certify_ordinary(107).conclusion == cf.CERTIFIED
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_profile_entry_that_drops_classes_is_a_miss(tmp_path, isolated_cache):
+    # dim S_38 = 2 and dim S_44 = 3: the two non-ordinary weights of p = 79
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        keys = [(79, 38, 13), (79, 44, 13)]
+        fresh = [hecke.ap_profile(*key) for key in keys]
+        good = [disk.get("profile", key) for key in keys]
+        assert good[0] == [[1, False, 1], [1, True, 1]]
+        key = keys[0]
+        for bad in ([], [[1]], [[1, True, 0], [1, False, 1]], [[1, 1, 1], [1, False, 1]],
+                    [[0, True, 1], [1, False, 1]], [["1", True, 1], [1, False, 1]],
+                    [[1.0, True, 1], [1, False, 1]], good[0] + [[1, False, 1]],
+                    [[1, True, 1], [1, False, 1, 0]], "x", {"1": [1, True, 1]}):
+            assert _served_after_planting(
+                disk, "profile", key, bad, lambda: hecke.ap_profile(*key)) == fresh[0]
+            assert disk.get("profile", key) == good[0]
+        for key in keys:
+            disk.put("profile", key, [])
+        cache.clear_memos()
+        assert cf.certify_nonordinary(79).conclusion == cf.CERTIFIED
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
 def test_semisimple_bookkeeping():
     for p in (17, 29, 43):
         for k in range(12, 50, 2):

@@ -49,8 +49,9 @@ def test_pool_size_clamped_and_largest_prime_first(monkeypatch):
     assert pool.processes == len(primes)
     assert [p for p, _modes in pool.tasks] == sorted(primes, reverse=True)
     assert [c.p for c in report.certificates] == primes
-    assert cf.emit_report(report) == cf.emit_report(
-        cf.scan_report(30, "nonordinary", jobs=1))
+    # compared line by line: pytest's diff of two long strings runs for minutes
+    assert cf.emit_report(report).split("\n") == cf.emit_report(
+        cf.scan_report(30, "nonordinary", jobs=1)).split("\n")
 
 
 def test_jobs_below_one_rejected(capsys):
@@ -81,7 +82,8 @@ def test_both_mode_cli_matches_single_mode_scans(tmp_path, fresh_caches):
         got = (tmp_path / f"scan.{mode}.json").read_text(encoding="ascii")
         assert [c["p"] for c in json.loads(got)["certificates"]] == primes
         fresh_caches(mode)
-        assert got == cf.emit_report(cf.scan_report(60, mode, jobs=1))
+        want = cf.emit_report(cf.scan_report(60, mode, jobs=1))
+        assert got.split("\n") == want.split("\n")
 
 
 def test_both_mode_scan_decomposes_each_weight_once(tmp_path, fresh_caches,
