@@ -11,4 +11,4 @@ TOOL_VERSION = __version__
 
 # the layout of disk cache entries; bump it whenever an entry computed for the
 # same key would change, so that older entries read as misses
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2

@@ -65,20 +65,14 @@ def get_cache():
             base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
                 os.path.expanduser("~"), ".cache")
             root = os.path.join(base, "wzcert")
-        _active = DiskCache(root) if root else None
+        _active = DiskCache(root)
     return _active
 
 
 def set_cache(cache):
-    """Install a specific DiskCache (or None to disable)."""
+    """Install a specific DiskCache."""
     global _active
     _active = cache
-
-
-def reset_cache():
-    """Forget the active cache so the next access re-reads the environment."""
-    global _active
-    _active = _UNSET
 
 
 _memos = []

@@ -18,7 +18,7 @@ from . import TOOL_VERSION, galoischecks
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
 from .hecke import default_bound, eigensystems, exact_ap_dim1
-from .ordscan import eligible_nonordinary
+from .ordscan import nonordinary_weights
 from .primes import is_prime, primes_up_to
 from .qseries import dim_cusp
 from .tame import lift_check_nonordinary, lift_check_ordinary
@@ -94,15 +94,12 @@ def _companion_matches(p, B):
 
     The match depends on a class only through its degree and its values at
     the primes l <= B, so classes computed to a larger bound share the entry
-    of the class they restrict to.  A weight whose companion weight has no
-    cusp forms has no match to search for.
+    of the class they restrict to.
     """
     ells = [ell for ell in primes_up_to(B) if ell != p]
     found = {}
 
     def match(k, sys):
-        if dim_cusp(p + 1 - k) == 0:
-            return None
         key = (k, sys.d, tuple(sys.values[ell].coeffs for ell in ells))
         if key not in found:
             found[key] = galoischecks.companion_match(p, k, sys, B)
@@ -149,6 +146,8 @@ def _bounds(p, B_img):
     and the bound the eigen systems are computed to."""
     B = default_bound(p)
     B_img = B if B_img is None else B_img
+    if B_img < 2:
+        raise ValueError("the image bound B_img must be >= 2")
     B_use = max(B, B_img)
     # certificate format v1 keeps two constant fields: the default bound is
     # already the Sturm-scale one ("strict"), and every class is computed in
@@ -196,21 +195,23 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
                 _gcd_check(k, p - 1, "p-1"),
                 CheckVerdict("ordinary_at_p", PASS, ord_witness),
                 large_image_verdict(p, k, sys, "ordinary", B_img),
-                split_verdict(p, k, sys, B, found=match(k, sys)),
+                split_verdict(p, k, sys, B, match(k, sys)),
             ] + lifts
             candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
     return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
                        split_pairs=_split_pair_survey(p, B, match))
 
 
-def certify_nonordinary(p: int, B_img: int | None = None) -> Certificate:
-    """Certificate for the non-ordinary regime at p (target n = p)."""
+def certify_nonordinary(p: int) -> Certificate:
+    """Certificate for the non-ordinary regime at p (target n = p).
+
+    Its image verdicts follow from exact arithmetic, so no image bound applies.
+    """
     _check_prime(p)
-    _B, B_img, B_use, bounds = _bounds(p, B_img)
-    rows = eligible_nonordinary(p)
+    B, _B_img, _B_use, bounds = _bounds(p, None)
     candidates = []
-    for k, g in sorted(rows.eligible + rows.ineligible):
-        systems = [s for s in eigensystems(p, k, B_use) if not s.ordinary]
+    for k in nonordinary_weights(p):
+        systems = [s for s in eigensystems(p, k, B) if not s.ordinary]
         if not systems:
             continue
         lift = _lift_verdict(lift_check_nonordinary(p, k))
@@ -220,7 +221,7 @@ def certify_nonordinary(p: int, B_img: int | None = None) -> Certificate:
                           "ap": sys.as_doc()["ap"],
                           "class_degree": sys.d,
                       })]
-            if g == 1:
+            if gcd(k - 1, p + 1) == 1:
                 checks.append(large_image_verdict(p, k, sys, "nonordinary"))
             checks.append(lift)
             candidates.append(_candidate(k, [p], sys, checks))
@@ -231,7 +232,9 @@ def certify(p: int, mode: str, B_img: int | None = None) -> Certificate:
     if mode == "ordinary":
         return certify_ordinary(p, B_img)
     if mode == "nonordinary":
-        return certify_nonordinary(p, B_img)
+        if B_img is not None:
+            raise ValueError("B_img bounds the ordinary image checks only")
+        return certify_nonordinary(p)
     raise ValueError("mode must be ordinary or nonordinary")
 
 
@@ -334,21 +337,13 @@ def _canonical_json(doc):
 
 def emit_certificate(cert: Certificate, destination=None) -> str:
     """Serialize a certificate as canonical JSON (sorted keys, big integers as
-    decimal strings); optionally write it to a path.  Round-trips losslessly."""
+    decimal strings); optionally write it to a path.  The text parses back to
+    `cert.as_doc()`."""
     text = _canonical_json(cert.as_doc())
     if destination is not None:
         with open(destination, "w", encoding="ascii") as fh:
             fh.write(text)
     return text
-
-
-def parse_certificate(text: str) -> Certificate:
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT_CERTIFICATE:
-        raise ValueError("not a certificate document")
-    return Certificate(doc["p"], doc["mode"], doc["conclusion"],
-                       doc["candidates"], doc["bounds"],
-                       doc.get("split_pairs", []), doc["toolversion"])
 
 
 def emit_report(report: ScanReport, destination=None) -> str:

@@ -11,6 +11,7 @@ import sys
 
 from . import certify as certify_mod
 from . import hecke, qseries, tame
+from .primes import is_prime
 
 
 def _build_parser():
@@ -25,7 +26,8 @@ def _build_parser():
     c.add_argument("--mode", choices=["ordinary", "nonordinary"], required=True)
     c.add_argument("--out", help="write the certificate JSON to this path")
     c.add_argument("--bimg", type=int, default=None,
-                   help="witness-search bound for image checks")
+                   help="witness-search bound (>= 2) for the image checks; "
+                   "--mode ordinary only")
 
     s = sub.add_parser("scan", help="certify all primes up to a bound")
     s.add_argument("--pmax", type=int, required=True)
@@ -109,25 +111,23 @@ def _cmd_eigenform(args):
 
 def _cmd_tame(args):
     p, k = args.p, args.k
-
-    def show(result):
-        print(f"computed: {_fmt_type(result.got)}")
-        print(f"expected: {_fmt_type(result.expected)}")
-        print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
-        return result.passed
-
-    ok = True
+    if not is_prime(p) or p <= 5:
+        raise SystemExit2("p must be a prime > 5")
+    # every check runs before anything is printed, so an invalid k or n
+    # leaves stdout empty
     if args.case == "ordinary":
         ns = [args.n] if args.n is not None else [p - 2, p - 1]
-        for n in ns:
-            print(f"n = {n}:")
-            ok = show(tame.lift_check_ordinary(p, k, n)) and ok
+        results = [(n, tame.lift_check_ordinary(p, k, n)) for n in ns]
     else:
         if args.n is not None and args.n != p:
             raise SystemExit2("the non-ordinary case always has n = p")
-        print(f"n = {p}:")
-        ok = show(tame.lift_check_nonordinary(p, k)) and ok
-    return 0 if ok else 1
+        results = [(p, tame.lift_check_nonordinary(p, k))]
+    for n, result in results:
+        print(f"n = {n}:")
+        print(f"computed: {_fmt_type(result.got)}")
+        print(f"expected: {_fmt_type(result.expected)}")
+        print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
+    return 0 if all(result.passed for _n, result in results) else 1
 
 
 def _fmt_type(T):

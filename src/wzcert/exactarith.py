@@ -8,8 +8,6 @@ eigen system computation, the disk cache and the certificates.
 
 from dataclasses import dataclass
 
-from . import ffpoly
-
 
 @dataclass(frozen=True)
 class ExtFieldElem:
@@ -30,9 +28,6 @@ class ExtFieldElem:
             raise ValueError("coefficient vector has wrong length")
         if not all(0 <= c < self.p for c in self.coeffs):
             raise ValueError("coordinates must lie in [0, p)")
-
-    def field(self):
-        return ffpoly.canonical_field(self.p, self.d)
 
     def is_zero(self):
         return not any(self.coeffs)

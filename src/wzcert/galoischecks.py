@@ -40,8 +40,8 @@ def companion_exponent(p: int, k: int) -> int:
     return (k - 1) % (p - 1)
 
 
-def companion_match(p: int, k: int, fsys, B: int | None = None):
-    """Search weight p+1-k for a companion of fsys.
+def companion_match(p: int, k: int, fsys, B: int):
+    """Search weight p+1-k, to the bound B, for a companion of fsys.
 
     Returns (companion EigenSystem, exponent, frobenius_power) or None; the
     weight-(p+1-k) space may be empty (no cuspidal companion exists), in which
@@ -54,8 +54,6 @@ def companion_match(p: int, k: int, fsys, B: int | None = None):
     kk = p + 1 - k
     if kk < 12 or dim_cusp(kk) == 0:
         return None
-    if B is None:
-        B = default_bound(p)
     e = companion_exponent(p, k)
     ells = [ell for ell in primes_up_to(min(B, fsys.B)) if ell != p]
     for gsys in eigensystems(p, kk, B):
@@ -85,23 +83,17 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     return None
 
 
-_SEARCH = object()
-
-
-def split_verdict(p: int, k: int, fsys, B: int | None = None,
-                  found=_SEARCH) -> CheckVerdict:
-    """PASS iff a companion system exists in weight p+1-k.
+def split_verdict(p: int, k: int, fsys, B: int, found) -> CheckVerdict:
+    """PASS iff a companion system exists in weight p+1-k; `found` is
+    companion_match(p, k, fsys, B).
 
     A PASS is rigorous modulo the companion-form criterion for local
     semisimplicity and the stated congruence bound; a FAIL records an
-    exhaustive search of the cuspidal target space.  A caller that already
-    holds companion_match(p, k, fsys, B) passes it as `found`.
+    exhaustive search of the cuspidal target space.
     """
     if not fsys.ordinary:
         raise ValueError("split verdict requires an ordinary system")
     kk = p + 1 - k
-    if B is None:
-        B = default_bound(p)
     if kk < 12 or dim_cusp(kk) == 0:
         return CheckVerdict("companion_split", FAIL, {
             "companion_weight": kk,
@@ -109,8 +101,6 @@ def split_verdict(p: int, k: int, fsys, B: int | None = None,
             "reason": "no cusp forms in the companion weight; unramified-twist "
                       "companions outside the cuspidal range are not searched",
         })
-    if found is _SEARCH:
-        found = companion_match(p, k, fsys, B)
     if found is None:
         return CheckVerdict("companion_split", FAIL, {
             "companion_weight": kk,

@@ -363,8 +363,9 @@ def _fits(k, classes, semisimple):
     return covered == dim if semisimple else covered <= dim
 
 
-def eigensystems(p: int, k: int, B: int | None = None) -> list:
-    """One EigenSystem per Galois-conjugacy class of mod-p eigen systems on S_k."""
+def _checked_bound(p, k, B):
+    """B (default_bound(p) when None) once p is a prime > 5, k an even
+    weight >= 0 and B >= 2; raises ValueError otherwise."""
     if not is_prime(p) or p <= 5:
         raise ValueError("p must be a prime > 5")
     if k % 2 or k < 0:
@@ -373,14 +374,19 @@ def eigensystems(p: int, k: int, B: int | None = None) -> list:
         B = default_bound(p)
     if B < 2:
         raise ValueError("bound B must be >= 2")
-    return _systems(p, k, B)
+    return B
+
+
+def eigensystems(p: int, k: int, B: int | None = None) -> list:
+    """One EigenSystem per Galois-conjugacy class of mod-p eigen systems on S_k."""
+    return _systems(p, k, _checked_bound(p, k, B))
 
 
 @memo(256)
 def _systems(p, k, B):
     key = (p, k, B)
     dc = diskcache.get_cache()
-    doc = dc.get("eigsys", key) if dc else None
+    doc = dc.get("eigsys", key)
     if doc is not None:
         try:
             systems = [_system_from_doc(p, k, B, item) for item in doc]
@@ -392,9 +398,24 @@ def _systems(p, k, B):
         # malformed entry, or one that drops classes: recompute and overwrite it
     raw, semisimple, _d = _raw_classes(p, k, B)
     systems = [_canonical_system(p, k, r, B, semisimple) for r in raw]
-    if dc:
-        dc.put("eigsys", key, [s.as_doc() for s in systems])
+    dc.put("eigsys", key, [s.as_doc() for s in systems])
     return systems
+
+
+def _profile_from_doc(k, doc):
+    """Decode a cached profile entry {"classes": [[d, a_p == 0, mult], ...],
+    "ss": semisimple}; None when it does not have that shape or cannot be all
+    the classes of S_k."""
+    if not (isinstance(doc, dict) and set(doc) == {"classes", "ss"}
+            and type(doc["ss"]) is bool and isinstance(doc["classes"], list)):
+        return None
+    items = doc["classes"]
+    if not all(isinstance(item, list) and len(item) == 3 and type(item[1]) is bool
+               for item in items):
+        return None
+    if not _fits(k, [(d, mult) for d, _zero, mult in items], doc["ss"]):
+        return None
+    return [tuple(item) for item in items]
 
 
 def ap_profile(p: int, k: int, B: int | None = None) -> list:
@@ -408,16 +429,12 @@ def ap_profile(p: int, k: int, B: int | None = None) -> list:
         B = default_bound(p)
     key = (p, k, B)
     dc = diskcache.get_cache()
-    doc = dc.get("profile", key) if dc else None
-    if (isinstance(doc, list)
-            and all(isinstance(item, list) and len(item) == 3 and type(item[1]) is bool
-                    for item in doc)
-            and _fits(k, [(d, mult) for d, _zero, mult in doc], False)):
-        return [tuple(item) for item in doc]
-    raw, _ss, _d = _raw_classes(p, k, B)
+    out = _profile_from_doc(k, dc.get("profile", key))
+    if out is not None:
+        return out
+    raw, ss, _d = _raw_classes(p, k, B)
     out = [(r.field.degree, r.ap == r.field.zero, r.mult) for r in raw]
-    if dc:
-        dc.put("profile", key, [list(item) for item in out])
+    dc.put("profile", key, {"classes": [list(item) for item in out], "ss": ss})
     return out
 
 
@@ -427,8 +444,9 @@ def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
     ss (the weight's flag: the Hecke action on S_k is semisimple, so the
     classes cover the space) and coeffs (list of coords tuples, index = power
     of q)."""
-    if B is None:
-        B = default_bound(p)
+    B = _checked_bound(p, k, B)
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
     raw, ss, d = _raw_classes(p, k, B)
     out = []
     for r in raw:

@@ -1,12 +1,8 @@
 """Non-ordinary weights of a prime.
 
 Finds the even weights 12 <= k < p carrying a mod-p eigen system with
-a_p = 0 and splits them by the gcd(k-1, p+1) eligibility filter; the
-non-ordinary certificate is built from that split.
+a_p = 0; the non-ordinary certificate is built on them.
 """
-
-from dataclasses import dataclass
-from math import gcd
 
 from .hecke import ap_profile
 from .primes import is_prime
@@ -24,25 +20,3 @@ def nonordinary_weights(p: int) -> list:
         if any(zero for _d, zero, _m in ap_profile(p, k)):
             out.append(k)
     return out
-
-
-@dataclass(frozen=True)
-class EligibilityRow:
-    """Non-ordinary weights of p split by the gcd(k-1, p+1) = 1 filter."""
-
-    p: int
-    eligible: tuple     # (k, 1) pairs
-    ineligible: tuple   # (k, gcd) pairs with gcd > 1
-
-
-def eligible_nonordinary(p: int) -> EligibilityRow:
-    """Filter nonordinary_weights(p) by gcd(k-1, p+1) = 1, recording each gcd."""
-    eligible = []
-    ineligible = []
-    for k in nonordinary_weights(p):
-        g = gcd(k - 1, p + 1)
-        if g == 1:
-            eligible.append((k, g))
-        else:
-            ineligible.append((k, g))
-    return EligibilityRow(p, tuple(eligible), tuple(ineligible))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import memo
+from .ffpoly import check_int64
 
 
 class PrecisionError(ValueError):
@@ -47,14 +48,6 @@ class PowerSeries:
             raise PrecisionError(f"coefficient {n} beyond precision {self.prec}")
         return self.coeffs[n]
 
-    def reduce(self, p):
-        """The same series with coefficients reduced mod p."""
-        if self.ring is not None:
-            if self.ring != p:
-                raise ValueError("series already lives in a different prime field")
-            return self
-        return PowerSeries(p, self.weight, tuple(c % p for c in self.coeffs))
-
 
 def _conv_exact(a, b, n):
     out = [0] * n
@@ -68,12 +61,9 @@ def _conv_exact(a, b, n):
 
 
 def _conv_modp(a, b, n, p):
-    # int64 convolution is exact as long as accumulated products cannot overflow
-    if (p - 1) * (p - 1) * min(len(a), len(b)) < 2**62:
-        c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(x) for x in c[:n] % p]
-    out = _conv_exact(a, b, n)
-    return [x % p for x in out]
+    check_int64(p, min(len(a), len(b)), "q-series product")   # products a term
+    c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    return [int(x) for x in c[:n] % p]
 
 
 def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -169,9 +159,6 @@ class MillerBasis:
     @property
     def dim(self):
         return len(self.forms)
-
-    def rows(self):
-        return [list(f.coeffs) for f in self.forms]
 
 
 @memo()

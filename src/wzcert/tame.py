@@ -68,19 +68,6 @@ class InertialType:
     def level2_pairs(self):
         return tuple(c.pair() for c in self.chars if c.level == 2)
 
-    def omega2_exponent_sum(self):
-        """Sum of all level-2 exponents mod p^2-1, counting a level-1 char t
-        as (p+1) t and a level-2 pair as e + pe."""
-        M = self.p * self.p - 1
-        total = 0
-        for c in self.chars:
-            if c.level == 1:
-                total += (self.p + 1) * c.e
-            else:
-                e, pe = c.pair()
-                total += e + pe
-        return total % M
-
     def as_doc(self):
         return {
             "p": self.p,
@@ -92,30 +79,6 @@ class InertialType:
 
 def _build(p, chars):
     return InertialType(p, tuple(sorted(chars, key=TameChar.sort_key)))
-
-
-def canonicalize(p: int, raw) -> InertialType:
-    """Canonical form of raw character data: (level, exponent) pairs.
-
-    A level-2 entry stands for the conjugate pair {e, pe} (either member may
-    be given); when p+1 divides its exponent the pair degenerates to two
-    copies of the level-1 character with exponent e/(p+1).
-    """
-    chars = []
-    for level, e in raw:
-        if level == 1:
-            chars.append(TameChar(p, 1, e))
-        elif level == 2:
-            e %= p * p - 1
-            if e % (p + 1) == 0:
-                t = (e // (p + 1)) % (p - 1)
-                chars.append(TameChar(p, 1, t))
-                chars.append(TameChar(p, 1, t))
-            else:
-                chars.append(TameChar(p, 2, e))
-        else:
-            raise ValueError("level must be 1 or 2")
-    return _build(p, chars)
 
 
 def _from_omega2_multiset(p, exps):

@@ -7,7 +7,7 @@ import pytest
 def isolated_cache(tmp_path_factory):
     """Point the disk cache at a session-local directory."""
     path = tmp_path_factory.mktemp("wzcache")
-    os.environ["WZ_CACHE_DIR"] = str(path)
+    os.environ["WZ_CACHE_DIR"] = str(path)   # for CLI subprocesses
     from wzcert import cache
-    cache.reset_cache()
+    cache.set_cache(cache.DiskCache(str(path)))
     yield path

@@ -17,7 +17,7 @@ def synthetic(p, k, values, ap, B=13):
 
 
 def test_companion_match_107():
-    got = gc.companion_match(107, 26, f26())
+    got = gc.companion_match(107, 26, f26(), 13)
     assert got is not None
     gsys, e, j = got
     assert gsys.k == 82 and e == 25 and j == 0
@@ -37,9 +37,9 @@ def test_companion_exponent_convention():
 
 
 def test_companion_symmetry():
-    got = gc.companion_match(107, 26, f26())
+    got = gc.companion_match(107, 26, f26(), 13)
     gsys = got[0]
-    back = gc.companion_match(107, 82, gsys)
+    back = gc.companion_match(107, 82, gsys, 13)
     assert back is not None
     fback, e_back, _ = back
     assert e_back == (-25) % 106
@@ -48,29 +48,30 @@ def test_companion_symmetry():
 
 def test_companion_empty_target():
     sys17 = [s for s in eigensystems(17, 12, 13) if s.ordinary]
-    assert sys17 and gc.companion_match(17, 12, sys17[0]) is None
+    assert sys17 and gc.companion_match(17, 12, sys17[0], 13) is None
 
 
 def test_companion_regression_nonsplit_pair():
     # first ordinary pair in the scan grid with a nonempty companion space
     # and no match: p = 29, k = 12 (companion weight 18)
     s = [x for x in eigensystems(29, 12, 13) if x.ordinary][0]
-    assert gc.companion_match(29, 12, s) is None
-    v = gc.split_verdict(29, 12, s)
+    assert gc.companion_match(29, 12, s, 13) is None
+    v = gc.split_verdict(29, 12, s, 13, None)
     assert v.verdict == gc.FAIL and v.witness["searched_systems"] >= 1
 
 
 def test_split_verdict():
-    v = gc.split_verdict(107, 26, f26())
+    v = gc.split_verdict(107, 26, f26(), 13, gc.companion_match(107, 26, f26(), 13))
     assert v.verdict == gc.PASS
     assert v.witness["companion_weight"] == 82
     assert v.witness["exponent"] == 25
     nonord = next(s for s in eigensystems(79, 38, 13) if not s.ordinary)
     with pytest.raises(ValueError):
-        gc.split_verdict(79, 38, nonord)
+        gc.split_verdict(79, 38, nonord, 13, None)
     # empty cuspidal target space
     f = [x for x in eigensystems(107, 98, 13) if x.ordinary][0]
-    v = gc.split_verdict(107, 98, f)     # companion weight 10 < 12
+    assert gc.companion_match(107, 98, f, 13) is None
+    v = gc.split_verdict(107, 98, f, 13, None)     # companion weight 10 < 12
     assert v.verdict == gc.FAIL and v.witness["searched_systems"] == 0
 
 
@@ -130,9 +131,13 @@ def test_nonord_image_chain():
 
 
 def test_nonord_chain_never_fails_on_eligible_sample():
-    from wzcert.ordscan import eligible_nonordinary
+    from math import gcd
+
+    from wzcert.ordscan import nonordinary_weights
     for p in (79, 151):
-        for k, _g in eligible_nonordinary(p).eligible:
+        eligible = [k for k in nonordinary_weights(p) if gcd(k - 1, p + 1) == 1]
+        assert eligible
+        for k in eligible:
             assert all(c.verdict == gc.PASS for c in gc.nonord_image_chain(p, k))
 
 

@@ -85,11 +85,11 @@ def test_eigensystem_beyond_degree_8_is_computed_in_full():
 def test_eigenvalues_live_in_canonical_field():
     s = next(s for s in hecke.eigensystems(41, 24, 13) if s.d == 2)
     a2 = s.values[2]
-    assert a2.field() is ffpoly.canonical_field(41, 2)
+    assert (a2.p, a2.d) == (41, 2)
     # a_2 + Frob(a_2) must be the trace of the exact T_2 matrix mod 41
     exact = hecke.hecke_matrix(24, 2).entries
     trace = sum(exact[i][i] for i in range(2)) % 41
-    K = a2.field()
+    K = ffpoly.canonical_field(41, 2)
     raw = K.from_coords(a2.coeffs)
     assert K.add(raw, K.frob(raw)) == K.from_int(trace)
 
@@ -269,19 +269,51 @@ def test_profile_entry_that_drops_classes_is_a_miss(tmp_path, isolated_cache):
         keys = [(79, 38, 13), (79, 44, 13)]
         fresh = [hecke.ap_profile(*key) for key in keys]
         good = [disk.get("profile", key) for key in keys]
-        assert good[0] == [[1, False, 1], [1, True, 1]]
+        assert good[0] == {"classes": [[1, False, 1], [1, True, 1]], "ss": True}
         key = keys[0]
-        for bad in ([], [[1]], [[1, True, 0], [1, False, 1]], [[1, 1, 1], [1, False, 1]],
-                    [[0, True, 1], [1, False, 1]], [["1", True, 1], [1, False, 1]],
-                    [[1.0, True, 1], [1, False, 1]], good[0] + [[1, False, 1]],
-                    [[1, True, 1], [1, False, 1, 0]], "x", {"1": [1, True, 1]}):
+        entry = lambda classes, ss=True: {"classes": classes, "ss": ss}
+        for bad in (entry([]), entry([[1]]), entry([[1, True, 0], [1, False, 1]]),
+                    entry([[1, 1, 1], [1, False, 1]]), entry([[0, True, 1], [1, False, 1]]),
+                    entry([["1", True, 1], [1, False, 1]]),
+                    entry([[1.0, True, 1], [1, False, 1]]),
+                    entry(good[0]["classes"] + [[1, False, 1]]),
+                    entry([[1, True, 1], [1, False, 1, 0]]),
+                    entry(good[0]["classes"], 1), {"classes": good[0]["classes"]},
+                    dict(good[0], extra=0), good[0]["classes"], "x",
+                    {"1": [1, True, 1]}):
             assert _served_after_planting(
                 disk, "profile", key, bad, lambda: hecke.ap_profile(*key)) == fresh[0]
             assert disk.get("profile", key) == good[0]
         for key in keys:
-            disk.put("profile", key, [])
+            disk.put("profile", key, entry([]))
         cache.clear_memos()
         assert cf.certify_nonordinary(79).conclusion == cf.CERTIFIED
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_profile_entry_that_drops_a_class_of_a_semisimple_space_is_a_miss(
+        tmp_path, isolated_cache):
+    # each planted entry keeps only the ordinary class of a semisimple space
+    # and so hides the weight's non-ordinary class; it must not be served
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        plants = {(79, 38, 13): [[1, False, 1]], (79, 44, 13): [[2, False, 1]]}
+        good = {}
+        for key in plants:
+            hecke.ap_profile(*key)
+            good[key] = disk.get("profile", key)
+        for layout in (lambda classes: classes,
+                       lambda classes: {"classes": classes, "ss": True}):
+            for key, classes in plants.items():
+                disk.put("profile", key, layout(classes))
+            cache.clear_memos()
+            assert cf.certify_nonordinary(79).conclusion == cf.CERTIFIED
+            for key in plants:        # recomputed and rewritten
+                assert disk.get("profile", key) == good[key]
+        assert all(entry["ss"] is True for entry in good.values())
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
 

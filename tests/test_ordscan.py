@@ -1,8 +1,15 @@
+from math import gcd
+
 import pytest
 
 from wzcert import hecke
-from wzcert.ordscan import eligible_nonordinary, nonordinary_weights
+from wzcert.ordscan import nonordinary_weights
 from wzcert.primes import primes_up_to
+
+
+def gcds(p):
+    """{k: gcd(k-1, p+1)} over the non-ordinary weights of p."""
+    return {k: gcd(k - 1, p + 1) for k in nonordinary_weights(p)}
 
 
 def test_nonordinary_weights_anchors():
@@ -19,18 +26,16 @@ def test_nonordinary_weights_sorted_even():
 
 
 def test_eligibility_rows():
-    row = eligible_nonordinary(79)
-    assert (38, 1) in row.eligible
-    row59 = eligible_nonordinary(59)
-    assert row59.eligible == ()
-    assert (16, 15) in row59.ineligible
-    assert eligible_nonordinary(151).eligible != ()
+    assert gcds(79)[38] == 1
+    assert 1 not in gcds(59).values()
+    assert gcds(59)[16] == 15
+    assert 1 in gcds(151).values()
 
 
 def test_scan_prefix_and_anchors():
     # 79 is the only prime <= 110 with a gcd-eligible non-ordinary weight
     with_eligible = [p for p in primes_up_to(110)
-                     if p > 5 and eligible_nonordinary(p).eligible]
+                     if p > 5 and 1 in gcds(p).values()]
     assert with_eligible == [79]
 
 

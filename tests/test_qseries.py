@@ -115,13 +115,13 @@ def test_modp_backend_matches_exact():
             assert tuple(c % p for c in fe.coeffs) == fp.coeffs
 
 
-def test_modp_reduce_roundtrip():
-    d = delta(20)
-    dp = d.reduce(107)
-    assert dp.ring == 107
-    assert dp.coeffs == tuple(c % 107 for c in d.coeffs)
-    with pytest.raises(ValueError):
-        dp.reduce(109)
+def test_modp_product_beyond_int64_raises():
+    # (p-1)^2 >= 2^63: one product of residues no longer fits an int64
+    p = 4294967311
+    with pytest.raises(ValueError, match="int64"):
+        delta(5, p)
+    with pytest.raises(ValueError, match="int64"):
+        miller_basis(12, 5, p)
 
 
 def test_power_series_validation():
