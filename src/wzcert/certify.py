@@ -10,8 +10,8 @@ non-ordinary weights, checked by exact arithmetic; gcd-ineligible
 non-ordinary weights are recorded with their failing gcd.
 """
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
 from . import TOOL_VERSION, galoischecks
@@ -141,20 +141,14 @@ def _split_pair_survey(p, B, match):
     return pairs
 
 
-def _bounds(p, B_img):
-    """(B, B_img, B_use, bounds doc): the companion bound B, the image bound
-    and the bound the eigen systems are computed to."""
-    B = default_bound(p)
-    B_img = B if B_img is None else B_img
-    if B_img < 2:
-        raise ValueError("the image bound B_img must be >= 2")
-    B_use = max(B, B_img)
+def _bounds(B_use, B_img):
+    """The certificate's bounds record: B_use is the bound the eigen systems
+    are computed to, B_img the image bound."""
     # certificate format v1 keeps two constant fields: the default bound is
     # already the Sturm-scale one ("strict"), and every class is computed in
     # full, whatever its degree ("ext_degree_cap")
-    bounds = {"B": B_use, "B_img": B_img, "strict": False,
-              "ext_degree_cap": "max(8, dim)"}
-    return B, B_img, B_use, bounds
+    return {"B": B_use, "B_img": B_img, "strict": False,
+            "ext_degree_cap": "max(8, dim)"}
 
 
 def _lift_verdict(res):
@@ -176,7 +170,11 @@ def _candidate(k, n_values, sys, checks):
 def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
     """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
     _check_prime(p)
-    B, B_img, B_use, bounds = _bounds(p, B_img)
+    B = default_bound(p)
+    B_img = B if B_img is None else B_img
+    if B_img < 2:
+        raise ValueError("the image bound B_img must be >= 2")
+    B_use = max(B, B_img)
     match = _companion_matches(p, B)
     candidates = []
     for k in range(12, p, 2):
@@ -198,7 +196,8 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
                 split_verdict(p, k, sys, B, match(k, sys)),
             ] + lifts
             candidates.append(_candidate(k, [p - 2, p - 1], sys, checks))
-    return Certificate(p, "ordinary", _aggregate(candidates), candidates, bounds,
+    return Certificate(p, "ordinary", _aggregate(candidates), candidates,
+                       _bounds(B_use, B_img),
                        split_pairs=_split_pair_survey(p, B, match))
 
 
@@ -208,7 +207,7 @@ def certify_nonordinary(p: int) -> Certificate:
     Its image verdicts follow from exact arithmetic, so no image bound applies.
     """
     _check_prime(p)
-    B, _B_img, _B_use, bounds = _bounds(p, None)
+    B = default_bound(p)
     candidates = []
     for k in nonordinary_weights(p):
         systems = [s for s in eigensystems(p, k, B) if not s.ordinary]
@@ -225,7 +224,8 @@ def certify_nonordinary(p: int) -> Certificate:
                 checks.append(large_image_verdict(p, k, sys, "nonordinary"))
             checks.append(lift)
             candidates.append(_candidate(k, [p], sys, checks))
-    return Certificate(p, "nonordinary", _aggregate(candidates), candidates, bounds)
+    return Certificate(p, "nonordinary", _aggregate(candidates), candidates,
+                       _bounds(B, B))
 
 
 def certify(p: int, mode: str, B_img: int | None = None) -> Certificate:
@@ -244,7 +244,9 @@ def certify(p: int, mode: str, B_img: int | None = None) -> Certificate:
 
 @dataclass
 class ScanReport:
-    """A scan in one mode; texts[i] is emit_certificate(certificates[i])."""
+    """A scan in one mode; texts[i] is emit_certificate(certificates[i])
+    without its final newline, every line indented 4 more spaces: the
+    certificate as it stands in the report's "certificates" list."""
 
     mode: str
     pmax: int
@@ -278,7 +280,7 @@ MODES = ("ordinary", "nonordinary")
 
 def _certify_task(args):
     """Certify one prime in each of the given modes, in order, in this process;
-    returns each certificate with its canonical text.
+    returns each certificate with its canonical text at its report depth.
 
     Running the modes of one prime back to back lets the later mode reuse the
     eigen decompositions the earlier one left in the in-process memos.  The
@@ -286,7 +288,8 @@ def _certify_task(args):
     """
     p, modes = args
     certs = [certify(p, mode) for mode in modes]
-    return p, [(cert, emit_certificate(cert)) for cert in certs]
+    indent = _REPORT_ITEM_INDENT
+    return p, [(cert, indent + _json(cert.as_doc(), indent)) for cert in certs]
 
 
 def scan(pmax: int, modes, jobs: int = 1) -> list:
@@ -331,8 +334,55 @@ def scan_report(pmax: int, mode: str, jobs: int = 1) -> ScanReport:
 # canonical JSON emission
 
 
+def _json(value, indent):
+    """The canonical JSON of `value` written at `indent` (its closing bracket's
+    indentation): the bytes of json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=True), tuples written as lists.
+
+    CPython's C encoder does not run with `indent`, and its pure-Python one
+    yields a chunk per item.  Here a list or tuple of plain ints (not bools),
+    or of strs, is one C-level join; that covers the witnesses' long exponent
+    lists.  Keys must be strs and floats are refused: `as_doc` makes neither.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _encode_str raises TypeError on a key that is not a str
+        body = sep.join(f"{_encode_str(key)}: {_json(value[key], inner)}"
+                        for key in sorted(value))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif types == {str}:
+            body = sep.join(map(_encode_str, value))
+        else:
+            body = sep.join([_json(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"{type(value).__name__} has no canonical JSON form")
+
+
 def _canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _json(doc, "") + "\n"
+
+
+# a certificate's place in a report: an item of the "certificates" list
+_REPORT_ITEM_INDENT = "    "
 
 
 def emit_certificate(cert: Certificate, destination=None) -> str:
@@ -351,18 +401,18 @@ def emit_report(report: ScanReport, destination=None) -> str:
 
     The bytes are those of the canonical JSON of `report.as_doc()`: the
     skeleton is dumped with null in the "certificates" slot, and the
-    certificates' texts go in its place, every line indented one list level
-    (4 spaces) deeper.  One join builds the text, so at most the texts, their
-    indented copies and the result are held at once.
+    certificates' texts, already written at their depth in the report, go in
+    its place.  One join builds the text: each further copy of a report of
+    tens of MB costs more than the join itself.
     """
     doc = report._skeleton()
     doc["certificates"] = None
     head, _, tail = _canonical_json(doc).partition('"certificates": null')
     parts = [head, '"certificates": ']
-    sep = "[\n    "
+    sep = "[\n"
     for t in report.texts:
-        parts += [sep, t[:-1].replace("\n", "\n    ")]
-        sep = ",\n    "
+        parts += [sep, t]
+        sep = ",\n"
     parts.append("\n  ]" if report.texts else "[]")
     parts.append(tail)
     text = "".join(parts)

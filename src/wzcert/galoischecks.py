@@ -240,12 +240,13 @@ def large_image_verdict(p: int, k: int, fsys, mode: str,
                         B_img: int | None = None) -> CheckVerdict:
     """Aggregate image verdict: PASS means the image contains SL2(F_p), by
     Dickson's classification once reducible, dihedral, and exceptional images
-    are excluded."""
+    are excluded.  The ordinary checks search to `B_img`; the non-ordinary
+    ones follow from exact arithmetic and take no bound."""
     if mode not in ("ordinary", "nonordinary"):
         raise ValueError("mode must be ordinary or nonordinary")
-    if B_img is None:
-        B_img = default_bound(p)
     if mode == "ordinary":
+        if B_img is None:
+            raise ValueError("the ordinary image checks need B_img")
         parts = [
             ord_irreducible(p, k, fsys, B_img),
             not_dihedral_ordinary(p, fsys, B_img),

@@ -14,71 +14,38 @@ from math import gcd
 
 
 @dataclass(frozen=True)
-class TameChar:
-    """A tame character: level 1 stores e mod p-1; level 2 stores the smaller
-    member of the conjugate exponent pair {e, p e mod p^2-1}."""
-
-    p: int
-    level: int
-    e: int
-
-    def __post_init__(self):
-        if self.level == 1:
-            object.__setattr__(self, "e", self.e % (self.p - 1))
-        elif self.level == 2:
-            M = self.p * self.p - 1
-            e = self.e % M
-            if e % (self.p + 1) == 0:
-                raise ValueError("level-2 exponent divisible by p+1 must be "
-                                 "canonicalized to level 1")
-            object.__setattr__(self, "e", min(e, e * self.p % M))
-        else:
-            raise ValueError("level must be 1 or 2")
-
-    def pair(self):
-        """The conjugate exponent pair for level 2."""
-        if self.level != 2:
-            raise ValueError("only level-2 characters have conjugate pairs")
-        M = self.p * self.p - 1
-        return (self.e, self.e * self.p % M)
-
-    @property
-    def dim(self):
-        return self.level
-
-    def sort_key(self):
-        return (self.level, self.e)
-
-
-@dataclass(frozen=True)
 class InertialType:
     """Canonical multiset of tame characters: the semisimplified restriction
-    to tame inertia of a mod-p local representation."""
+    to tame inertia of a mod-p local representation.
+
+    `level1` holds the level-1 exponents mod p-1, sorted; `level2` holds, for
+    each level-2 character, the smaller member e of its conjugate exponent
+    pair {e, p e mod p^2-1}, sorted.
+    """
 
     p: int
-    chars: tuple
+    level1: tuple
+    level2: tuple
 
     @property
     def dim(self):
-        return sum(c.dim for c in self.chars)
+        return len(self.level1) + 2 * len(self.level2)
 
     def level1_exponents(self):
-        return tuple(c.e for c in self.chars if c.level == 1)
+        return self.level1
 
     def level2_pairs(self):
-        return tuple(c.pair() for c in self.chars if c.level == 2)
+        """The conjugate exponent pairs (e, p e mod p^2-1), smaller first."""
+        M = self.p * self.p - 1
+        return tuple((e, e * self.p % M) for e in self.level2)
 
     def as_doc(self):
         return {
             "p": self.p,
             "dim": self.dim,
-            "level1": sorted(self.level1_exponents()),
-            "level2": [list(pair) for pair in sorted(self.level2_pairs())],
+            "level1": list(self.level1),
+            "level2": [list(pair) for pair in self.level2_pairs()],
         }
-
-
-def _build(p, chars):
-    return InertialType(p, tuple(sorted(chars, key=TameChar.sort_key)))
 
 
 def _from_omega2_multiset(p, exps):
@@ -87,12 +54,12 @@ def _from_omega2_multiset(p, exps):
     M = p * p - 1
     from collections import Counter
     count = Counter(e % M for e in exps)
-    chars = []
+    level1, level2 = [], []
     for e in sorted(count):
         while count[e] > 0:
             if e % (p + 1) == 0:
                 count[e] -= 1
-                chars.append(TameChar(p, 1, e // (p + 1)))
+                level1.append(e // (p + 1))
             else:
                 pe = e * p % M
                 if count[pe] <= (1 if pe == e else 0):
@@ -100,8 +67,12 @@ def _from_omega2_multiset(p, exps):
                                      "conjugation")
                 count[e] -= 1
                 count[pe] -= 1
-                chars.append(TameChar(p, 2, e))
-    return _build(p, chars)
+                level2.append(min(e, pe))
+    return InertialType(p, tuple(sorted(level1)), tuple(sorted(level2)))
+
+
+def _level1_type(p, exps):
+    return InertialType(p, tuple(sorted(e % (p - 1) for e in exps)), ())
 
 
 def sym_ordinary(p: int, k: int, n: int) -> InertialType:
@@ -113,7 +84,7 @@ def sym_ordinary(p: int, k: int, n: int) -> InertialType:
     if n < 1:
         raise ValueError("n must be >= 1")
     c = (n - 1) * (k - 2) // 2
-    return _build(p, [TameChar(p, 1, c - (k - 1) * i) for i in range(n)])
+    return _level1_type(p, [c - (k - 1) * i for i in range(n)])
 
 
 def _sym2_exponents(p, a, n):
@@ -144,7 +115,7 @@ def type_equal(T1: InertialType, T2: InertialType) -> bool:
     """Multiset equality of canonical forms."""
     if T1.p != T2.p:
         raise ValueError("mixed primes")
-    return T1.chars == T2.chars
+    return T1.level1 == T2.level1 and T1.level2 == T2.level2
 
 
 def rho_pm_independent(p: int, m: int) -> bool:
@@ -210,7 +181,7 @@ def lift_check_ordinary(p: int, k: int, n: int) -> LiftCheckResult:
     if n not in (p - 1, p - 2):
         raise ValueError("n must be p-1 or p-2")
     got = sym_ordinary(p, k, n)
-    expected = _build(p, [TameChar(p, 1, -i) for i in range(n)])
+    expected = _level1_type(p, [-i for i in range(n)])
     if type_equal(got, expected):
         lift = {
             "characters": n,
@@ -243,8 +214,9 @@ def lift_check_nonordinary(p: int, k: int) -> LiftCheckResult:
     mismatch = None
     if not type_equal(got, expected):
         from collections import Counter
-        cg = Counter([(c.level, c.e) for c in got.chars])
-        ce = Counter([(c.level, c.e) for c in expected.chars])
+        cg = Counter([(1, e) for e in got.level1] + [(2, e) for e in got.level2])
+        ce = Counter([(1, e) for e in expected.level1] +
+                     [(2, e) for e in expected.level2])
         diff = sorted(set(cg) | set(ce))
         for key in diff:
             if cg[key] != ce[key]:

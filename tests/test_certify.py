@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -180,6 +181,55 @@ def test_emit_deterministic():
     cache.clear_memos()
     b = cf.emit_certificate(cf.certify_nonordinary(59))
     assert a == b
+
+
+# characters json escapes (quote, backslash, controls), non-ASCII text and
+# a character beyond the BMP, which ensure_ascii writes as a surrogate pair
+TEXT_ALPHABET = 'ab Z09"\\/\n\t\r\b\f\x00\x1f\x7f\u00e9\u20ac\u03c9\U0001d11e'
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randrange(6)))
+
+
+def random_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randrange(-10**40, 10**40)
+    if kind == 1:
+        return rng.randrange(-3, 300)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    return random_text(rng)
+
+
+def random_doc(rng, depth=0):
+    """A seeded JSON-able document: nested dicts, lists and tuples (empty,
+    all-int, all-str and mixed), ints, bools, None and strings."""
+    kind = rng.randrange(8) if depth < 4 else 0
+    size = rng.randrange(5)
+    if kind in (0, 1):
+        return random_scalar(rng)
+    if kind == 2:
+        return {random_text(rng): random_doc(rng, depth + 1) for _ in range(size)}
+    if kind == 3:
+        return [rng.randrange(-10**40, 10**40) for _ in range(size)]
+    if kind == 4:
+        return tuple(random_text(rng) for _ in range(size))
+    if kind == 5:  # ints with a bool among them are not an int list
+        return [rng.randrange(9) for _ in range(size)] + [rng.choice([True, False])]
+    items = [random_doc(rng, depth + 1) for _ in range(size)]
+    return items if kind == 6 else tuple(items)
+
+
+def test_canonical_json_matches_the_stdlib_encoder():
+    for seed in range(400):
+        doc = random_doc(random.Random(seed))
+        want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        assert cf._canonical_json(doc) == want, seed
+    for value in (1.5, [1, 2, 3.0], {"a": {1: 2}}, {"a": [{"b"}]}, {"x"}):
+        with pytest.raises(TypeError):
+            cf._canonical_json(value)
 
 
 def test_cache_corruption_recovers(isolated_cache):

@@ -142,20 +142,23 @@ def test_nonord_chain_never_fails_on_eligible_sample():
 
 
 def test_large_image_verdict():
-    assert gc.large_image_verdict(107, 26, f26(), "ordinary").verdict == gc.PASS
+    assert gc.large_image_verdict(107, 26, f26(), "ordinary", 13).verdict == gc.PASS
     nonord = next(s for s in eigensystems(79, 38, 13) if not s.ordinary)
     assert gc.large_image_verdict(79, 38, nonord, "nonordinary").verdict == gc.PASS
     # INCONCLUSIVE propagation
     p = 107
     vals = {ell: 0 if pow(ell, 53, p) == p - 1 else 1 for ell in primes_up_to(13)}
     s = synthetic(p, 26, vals, 1)
-    assert gc.large_image_verdict(p, 26, s, "ordinary").verdict == gc.INCONCLUSIVE
+    assert gc.large_image_verdict(p, 26, s, "ordinary", 13).verdict == gc.INCONCLUSIVE
     # FAIL propagation via the synthetic reducible system
     vals = {ell: (1 + pow(ell, 25, p)) % p for ell in primes_up_to(13)}
     s = synthetic(p, 26, vals, 1)
-    assert gc.large_image_verdict(p, 26, s, "ordinary").verdict == gc.FAIL
+    assert gc.large_image_verdict(p, 26, s, "ordinary", 13).verdict == gc.FAIL
     with pytest.raises(ValueError):
         gc.large_image_verdict(107, 26, f26(), "other")
+    # the ordinary checks search to the bound they are given; none is assumed
+    with pytest.raises(ValueError):
+        gc.large_image_verdict(107, 26, f26(), "ordinary")
 
 
 def test_verdict_monotone_and_deterministic():
@@ -165,6 +168,6 @@ def test_verdict_monotone_and_deterministic():
     assert (small.verdict, big.verdict) != (gc.PASS, gc.INCONCLUSIVE)
     assert gc.not_dihedral_ordinary(107, f, 3).verdict == gc.PASS
     assert gc.not_dihedral_ordinary(107, f, 13).verdict == gc.PASS
-    a = gc.large_image_verdict(107, 26, f, "ordinary").as_doc()
-    b = gc.large_image_verdict(107, 26, f, "ordinary").as_doc()
+    a = gc.large_image_verdict(107, 26, f, "ordinary", 13).as_doc()
+    b = gc.large_image_verdict(107, 26, f, "ordinary", 13).as_doc()
     assert a == b

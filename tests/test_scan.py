@@ -111,8 +111,10 @@ def test_emit_report_splices_the_certificate_texts(fresh_caches):
         reports = cf.scan(60, cf.MODES, jobs=jobs)
         assert [r.mode for r in reports] == list(cf.MODES)
         for report in reports:
-            assert report.texts == [cf.emit_certificate(c)
-                                    for c in report.certificates]
+            assert report.texts == [
+                "\n".join("    " + line
+                          for line in cf.emit_certificate(c)[:-1].split("\n"))
+                for c in report.certificates]
             want = json.dumps(report.as_doc(), sort_keys=True, indent=2,
                               ensure_ascii=True) + "\n"
             # compared line by line, so a failure names the first bad line

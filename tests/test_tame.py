@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
-from wzcert.tame import (TameChar, lift_check_nonordinary, lift_check_ordinary,
-                         rho_nm_inertial, rho_pm_independent, sym_level2,
-                         sym_ordinary, type_equal)
+from wzcert.tame import (_from_omega2_multiset, lift_check_nonordinary,
+                         lift_check_ordinary, rho_nm_inertial,
+                         rho_pm_independent, sym_level2, sym_ordinary,
+                         type_equal)
 
 
 def oracle_pairing(p, exps):
@@ -33,13 +34,21 @@ def as_data(T):
                   [(2, pair[0]) for pair in T.level2_pairs()])
 
 
-def test_tamechar_canonical():
-    c = TameChar(79, 2, 100 * 79 % 6240)
-    assert c.e == min(100, 100 * 79 % 6240)
-    assert c.pair() == (100, 100 * 79 % 6240)
-    with pytest.raises(ValueError):
-        TameChar(79, 2, 3120)       # divisible by p+1: must be level 1
-    assert TameChar(79, 1, -1).e == 77
+def test_omega2_grouping_is_canonical():
+    M = 79 * 79 - 1
+    pe = 100 * 79 % M
+    # a conjugate pair {e, pe} is recorded by its smaller member
+    T = _from_omega2_multiset(79, [pe, 100])
+    assert T.level2 == (min(100, pe),) and T.level1 == ()
+    assert T.level2_pairs() == ((100, pe),)
+    assert sym_level2(79, pe, 2).level2 == sym_level2(79, 100, 2).level2 == (100,)
+    # exponents divisible by p+1 are level-1 characters, recorded mod p-1
+    T = _from_omega2_multiset(79, [-80, 5 * 80, pe, 100])
+    assert T.level1 == (5, 77) and T.level2 == (100,) and T.dim == 4
+    # a multiset not closed under multiplication by p has no grouping
+    for exps in ([100], [100, 100, pe]):
+        with pytest.raises(ValueError):
+            _from_omega2_multiset(79, exps)
 
 
 def test_sym_ordinary_examples():
