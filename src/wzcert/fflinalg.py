@@ -1,9 +1,12 @@
 """Small exact linear algebra over finite fields: determinants, characteristic
 polynomials, nullspaces, and coordinate solving.  Matrices are lists of rows of
 field elements; all pivot choices are deterministic so outputs are canonical.
+Kernels of polynomials in a GF(p) matrix run on int64 arrays.
 """
 
-from .ffpoly import pmul, pscale, psub
+import numpy as np
+
+from .ffpoly import check_int64, pmul, pscale, psub
 
 
 def mat_det(F, M):
@@ -106,6 +109,48 @@ def mat_nullspace(F, M):
             v[pc] = F.neg(A[r][fc])
         basis.append(v)
     return basis
+
+
+def poly_kernel_modp(p, M, g):
+    """Canonical basis of ker g(M) over GF(p), as the rows of an int64 array
+    (free columns ascending, unit there, as in mat_nullspace).
+
+    M is an n x n matrix of residues mod p and g a polynomial with residue
+    coefficients, ascending.  g(M) comes from Horner's rule and its kernel
+    from one elimination.  A Horner step sums n residue products and a
+    residue, an elimination step one product and a residue: the bound is
+    checked first.
+    """
+    n = len(M)
+    check_int64(p, n + 1, "GF(p) kernel")
+    A = np.array(M, dtype=np.int64).reshape(n, n)
+    diag = np.arange(n)
+    G = np.zeros((n, n), dtype=np.int64)
+    for c in reversed(g):
+        G = G @ A
+        G[diag, diag] += c
+        G %= p
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == n:
+            break
+        nz = np.flatnonzero(G[r:, c])
+        if not nz.size:
+            continue
+        piv = r + int(nz[0])
+        G[[r, piv]] = G[[piv, r]]
+        G[r] = G[r] * pow(int(G[r, c]), -1, p) % p
+        col = G[:, c].copy()
+        col[r] = 0
+        G = (G - np.outer(col, G[r])) % p
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    N = np.zeros((len(free), n), dtype=np.int64)
+    for i, fc in enumerate(free):
+        N[i, fc] = 1
+        N[i, pivots] = -G[:len(pivots), fc] % p
+    return N
 
 
 def solve_in_span(F, vecs, target):

@@ -320,18 +320,33 @@ def squarefree_decomposition(F, f):
 
 
 def _distinct_degree(F, f):
-    """[(product of irreducible factors of degree t, t)] for squarefree monic f."""
+    """[(product of irreducible factors of degree t, t)] for squarefree monic f.
+
+    h = x^(q^t) mod f.  Over GF(p) the step h -> h^p is one product with the
+    Frobenius matrix of the f given (Berlekamp's Q), built once: h^p mod that
+    f is also h^p modulo the remaining f, which divides it.
+    """
     out = []
     x = (F.zero, F.one)
     h = x
     t = 0
-    q = F.order
+    if F.degree == 1 and pdeg(f) > 1:
+        p = F.p
+        Q = _frobenius(np.array([f[:-1]], dtype=np.int64), p, 0)[0][0]
+        n = len(Q)
+
+        def power(h, _f):
+            v = np.array(h + (0,) * (n - len(h)), dtype=np.int64)
+            return ptrim(F, (v @ Q % p).tolist())
+    else:
+        def power(h, f):
+            return ppowmod(F, h, F.order, f)
     while pdeg(f) > 0:
         t += 1
         if 2 * t > pdeg(f):
             out.append((f, pdeg(f)))
             break
-        h = ppowmod(F, h, q, f)
+        h = power(h, f)
         g = pgcd(F, psub(F, h, x), f)
         if pdeg(g) > 0:
             out.append((g, t))

@@ -2,13 +2,16 @@
 
 T_m acts on the Miller basis through the classical coefficient formula
 a_n(T_m f) = sum_{r | gcd(m,n)} r^(k-1) a_{mn/r^2}(f).  Mod-p eigen systems
-are extracted from T_2 eigenspaces over GF(p)[x]/(g), g a factor of the T_2
-charpoly, and refined by T_3, T_5, ... where eigenvalues coincide; when a
-later a_ell needs a larger field, the refinement continues in the canonical
-GF(p^D) (Stein, Modular Forms: A Computational Approach, ch. 9).  a_p is read
-off the reconstructed normalized eigenform expansion at precision p+1.  The
-full T_p matrix (which needs dim-times-larger precision) is kept only as a
-determinant oracle.
+come from the irreducible factors g of the T_2 charpoly over GF(p).  When
+ker g(T_2) over GF(p) has dimension deg g, as it has for all but a few
+factors, the eigenvector for the root x of g in GF(p)[x]/(g) is built from
+one vector of that kernel with int64 arithmetic over GF(p) (Stein, Modular
+Forms: A Computational Approach, 2007).  Otherwise the T_2 eigenspace is a
+nullspace over GF(p)[x]/(g), refined by T_3, T_5, ... where eigenvalues
+coincide; when a later a_ell needs a larger field, the refinement continues
+in the canonical GF(p^D).  a_ell and a_p are read off the normalized
+eigenform expansion at precision p+1.  The full T_p matrix (which needs
+dim-times-larger precision) is kept only as a determinant oracle.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,8 @@ from . import cache as diskcache
 from . import ffpoly
 from .cache import memo
 from .exactarith import ExtFieldElem
-from .fflinalg import mat_charpoly, mat_det, mat_lift, mat_nullspace, rref, solve_in_span
+from .fflinalg import (mat_charpoly, mat_det, mat_lift, mat_nullspace, poly_kernel_modp,
+                       rref, solve_in_span)
 from .primes import is_prime, primes_up_to
 from .qseries import PrecisionError, dim_cusp, miller_basis
 
@@ -180,10 +184,14 @@ def _factor_key(F, h):
 def _raw_classes(p, k, B):
     """All mod-p eigen system classes on S_k with a_ell (ell <= B) and a_p.
 
-    Returns (classes, semisimple, dim).  A class lives in GF(p), in
-    GF(p)[x]/(g) for g the minimal polynomial of a_2, or, when a later a_ell
-    needs a larger field, in the canonical GF(p^D); mapping the first two
-    into the canonical field happens separately.
+    Returns (classes, semisimple, dim).  Each irreducible factor g of the T_2
+    charpoly gives the eigenvalue x of T_2 in K = GF(p)[x]/(g) (GF(p) when
+    deg g = 1).  When ker g(T_2) over GF(p) has dimension deg g, the
+    K-eigenspace is one vector, built from that kernel without K-arithmetic
+    (`_t2_eigenvector`).  Otherwise the eigenspace is the nullspace of
+    T_2 - x over K, refined by T_3, T_5, ...; a class whose later a_ell needs
+    a larger field continues in the canonical GF(p^D).  Mapping K into the
+    canonical field happens separately.
     """
     d = dim_cusp(k)
     if d == 0:
@@ -195,22 +203,51 @@ def _raw_classes(p, k, B):
     M2 = _op_matrix(rows0, k, 2, p)
     leaves = []
     for g, _mult in ffpoly.factor_monic(Fp, mat_charpoly(Fp, M2)):
-        if ffpoly.pdeg(g) == 1:
-            K, lam, MK = Fp, Fp.neg(g[0]), M2
+        path = ((2, _factor_key(Fp, g)),)
+        K = Fp if ffpoly.pdeg(g) == 1 else ffpoly.ExtField(Fp, g)
+        v = _t2_eigenvector(p, K, M2, g)
+        if v is not None:
+            leaves.append((K, [v], path))
+            continue
+        if K is Fp:
+            lam, MK = Fp.neg(g[0]), M2
         else:
-            K = ffpoly.ExtField(Fp, g)
-            lam = K.gen
-            MK = mat_lift(K, M2)
+            lam, MK = K.gen, mat_lift(K, M2)
         A = [[K.sub(MK[i][j], lam if i == j else K.zero) for j in range(d)]
              for i in range(d)]
         space = mat_nullspace(K, A)
-        path = ((2, _factor_key(Fp, g)),)
         leaves.extend(_refine(p, k, d, K, space, path, ells, 1, B, prec0))
     classes = [_leaf_class(p, k, K, space, path, B, prec0)
                for K, space, path in leaves]
     classes.sort(key=lambda c: c.path)
     semisimple = sum(c.field.degree * c.mult for c in classes) == d
     return classes, semisimple, d
+
+
+def _t2_eigenvector(p, K, M2, g):
+    """An eigenvector of T_2 (the matrix M2) for the root x of g in K, or None
+    when ker g(T_2) over GF(p) is not deg g-dimensional, that is when the
+    K-eigenspace has more than one vector.
+
+    For w != 0 in the kernel and u_i = T_2^i w, the vector
+    v = sum_i c_i(x) u_i, with g(X)/(X - x) = sum_i c_i(x) X^i, satisfies
+    (T_2 - x) v = g(T_2) w = 0, and v != 0 because its x^(D-1) coordinate is
+    w.  Its x^t coordinates are V[:, t] = sum_{i <= D-1-t} g_{i+t+1} u_i
+    (Stein, Modular Forms: A Computational Approach, 2007).
+    """
+    W = poly_kernel_modp(p, M2, g)
+    D = len(g) - 1
+    if len(W) != D:
+        return None
+    # these sums have at most d products of residues: within the kernel's bound
+    T = np.array(M2, dtype=np.int64)
+    U = np.empty((len(M2), D), dtype=np.int64)
+    U[:, 0] = W[0]
+    for i in range(1, D):
+        U[:, i] = T @ U[:, i - 1] % p
+    idx = np.add.outer(np.arange(D), np.arange(D)) + 1
+    G = np.where(idx <= D, np.array(g, dtype=np.int64)[np.minimum(idx, D)], 0)
+    return [K.from_coords(tuple(row)) for row in (U @ G % p).tolist()]
 
 
 def _refine(p, k, d, K, space, path, ells, idx, B, prec0):
@@ -262,7 +299,9 @@ def _dot(K, a, b):
 
 def _leaf_class(p, k, K, space, path, B, prec0):
     rows = _basis_rows(p, k, prec0)
-    space = [tuple(r) for r in rref(K, space)[0] if any(x != K.zero for x in r)]
+    if len(space) > 1:
+        # the echelon basis makes the a_1-normalized vector picked canonical
+        space = [tuple(r) for r in rref(K, space)[0] if any(x != K.zero for x in r)]
     pick = next((v for v in space if v[0] != K.zero), None)
     if pick is None:
         # the space is T_n-stable for every n, so it holds an eigenform f, and

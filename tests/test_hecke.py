@@ -4,7 +4,7 @@ import json
 import pytest
 
 import wzcert
-from wzcert import cache, certify as cf, ffpoly, hecke, qseries
+from wzcert import cache, certify as cf, fflinalg, ffpoly, hecke, qseries
 from wzcert.cache import DiskCache
 from wzcert.exactarith import ExtFieldElem
 from wzcert.qseries import PrecisionError, delta, dim_cusp
@@ -364,6 +364,62 @@ def test_classes_with_equal_a2_41_144():
                 for s in systems if s.d == 2]
         assert quad == [((7, 14), (0, 16), (0, 0)),
                         ((7, 14), (0, 25), (16, 21))], B
+    # each shared a_2 leaves a kernel of g(T_2) larger than deg g, so these
+    # classes come from the nullspace over GF(41)[x]/(g) and its refinement
+    Fp = ffpoly.canonical_field(41, 1)
+    M2 = _t2_matrix(41, 144)
+    raw, _ss, _d = hecke._raw_classes(41, 144, 13)
+    for g, _mult in ffpoly.factor_monic(Fp, fflinalg.mat_charpoly(Fp, M2)):
+        D = ffpoly.pdeg(g)
+        W = fflinalg.poly_kernel_modp(41, M2, g)
+        K = Fp if D == 1 else ffpoly.ExtField(Fp, g)
+        paths = [r.path for r in raw if r.path[0] == (2, hecke._factor_key(Fp, g))]
+        assert len(W) == D * len(paths)
+        assert (len(W) > D) == all(len(path) == 2 for path in paths)
+        assert (hecke._t2_eigenvector(41, K, M2, g) is None) == (len(W) > D)
+        if D == 2:
+            assert len(W) == 4 and len(paths) == 2
+
+
+def _t2_matrix(p, k):
+    d = dim_cusp(k)
+    return hecke._op_matrix(hecke._basis_rows(p, k, 2 * d + 2), k, 2, p)
+
+
+def _a1_normalized(K, v):
+    inv = K.inv(v[0])
+    return [K.mul(inv, x) for x in v]
+
+
+def test_t2_eigenvector_from_the_gfp_kernel_matches_the_nullspace_over_K():
+    for p in (107, 139):
+        Fp = ffpoly.canonical_field(p, 1)
+        for k in range(12, p + 2, 2):
+            if dim_cusp(k) == 0:
+                continue
+            M2 = _t2_matrix(p, k)
+            for g, _mult in ffpoly.factor_monic(Fp, fflinalg.mat_charpoly(Fp, M2)):
+                K = Fp if ffpoly.pdeg(g) == 1 else ffpoly.ExtField(Fp, g)
+                lam = Fp.neg(g[0]) if K is Fp else K.gen
+                MK = fflinalg.mat_lift(K, M2)
+                space = fflinalg.mat_nullspace(K, [
+                    [K.sub(x, lam if i == j else K.zero) for j, x in enumerate(row)]
+                    for i, row in enumerate(MK)])
+                v = hecke._t2_eigenvector(p, K, M2, g)
+                if len(space) > 1:
+                    assert v is None, (p, k, g)
+                    continue
+                assert _a1_normalized(K, v) == _a1_normalized(K, space[0]), (p, k, g)
+
+
+def test_gfp_kernel_raises_beyond_its_int64_bound():
+    # a 1 x 1 kernel sums at most 2 residue products a term: 2(p-1)^2 < 2^63
+    p = 2**31 - 1
+    assert fflinalg.poly_kernel_modp(p, [[5]], (p - 5, 1)).tolist() == [[1]]
+    assert fflinalg.poly_kernel_modp(p, [[5]], (p - 6, 1)).tolist() == []
+    p = 2**31 + 11
+    with pytest.raises(ValueError, match="int64"):
+        fflinalg.poly_kernel_modp(p, [[5]], (p - 5, 1))
 
 
 def _conjugates(K, x):

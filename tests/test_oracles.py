@@ -4,7 +4,8 @@ The companion-pair test shares only the exact integer Hecke matrices with
 the program; everything downstream (characteristic polynomials, gcds over
 GF(p)) is computed by sympy.  The kernel tests compare the GF(p)
 characteristic polynomial and factorization against sympy on seeded random
-inputs.  sympy is not a dependency of wzcert, so the tests skip where it is
+inputs, and the factorization also on the T_2 charpolys at p = 251 and 293.
+sympy is not a dependency of wzcert, so the tests skip where it is
 not installed.
 """
 
@@ -97,6 +98,23 @@ def test_factor_monic_oracle():
                 want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), m)
                               for g, m in want)
                 assert sorted(ffpoly.factor_monic(F, f)) == want, (p, f)
+    # T_2 charpolys, whose irreducible factors reach degree 23 at p = 293
+    degrees = set()
+    for p in (251, 293):
+        F = ffpoly.canonical_field(p, 1)
+        for k in range(12, p + 2, 2):
+            d = qseries.dim_cusp(k)
+            if d == 0:
+                continue
+            M2 = hecke._op_matrix(hecke._basis_rows(p, k, 2 * d + 2), k, 2, p)
+            f = fflinalg.mat_charpoly(F, M2)
+            want = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()[1]
+            want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), m)
+                          for g, m in want)
+            got = ffpoly.factor_monic(F, f)
+            assert sorted(got) == want, (p, k)
+            degrees.update(ffpoly.pdeg(g) for g, _m in got)
+    assert max(degrees) == 23
 
 
 def test_canonical_modulus_oracle():
