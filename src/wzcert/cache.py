@@ -41,12 +41,15 @@ class DiskCache:
     def put(self, namespace, key, value):
         doc = {"toolversion": TOOL_VERSION, "schema": CACHE_SCHEMA,
                "key": list(key), "value": value}
+        # json.dumps with no indent runs the C encoder; json.dump to a file
+        # always takes the pure-Python chunked one, for the same bytes
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         path = self._path(namespace, key)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp, path)
         except OSError:
             pass

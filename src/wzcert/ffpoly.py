@@ -66,10 +66,12 @@ class PrimeField:
 
 
 class ExtField:
-    """GF(p)[x]/(modulus) for a monic irreducible modulus over a PrimeField."""
+    """GF(p)[x]/(modulus) for a monic irreducible modulus over a PrimeField.
+
+    Everything but `inv` also holds in the ring of any monic modulus."""
 
     __slots__ = ("base", "modulus", "d", "p", "degree", "order", "zero", "one", "gen",
-                 "_redrow", "_frob")
+                 "_redrow", "_frob", "_tables")
 
     def __init__(self, base, modulus):
         if type(base) is not PrimeField:
@@ -88,6 +90,7 @@ class ExtField:
         # reduction row: x^d = -(m_0 + ... + m_{d-1} x^{d-1})
         self._redrow = tuple(-c % p for c in self.modulus[:-1])
         self._frob = None
+        self._tables = None
 
     def add(self, a, b):
         p = self.p
@@ -145,10 +148,29 @@ class ExtField:
     def frob(self, a):
         """a^p, as one vector-matrix product: Frobenius is GF(p)-linear, and
         row i of its matrix is x^(ip) mod the modulus (built once per field)."""
+        return tuple((np.array(a, dtype=np.int64) @ self._frob_matrix() % self.p).tolist())
+
+    def _frob_matrix(self):
         if self._frob is None:
             C = np.array([self.modulus[:-1]], dtype=np.int64)
             self._frob = _frobenius(C, self.p, 0)[0][0]
-        return tuple((np.array(a, dtype=np.int64) @ self._frob % self.p).tolist())
+        return self._frob
+
+    def tables(self):
+        """(P, M), built once per field.  P[i] = F^i for i < d, F the Frobenius
+        matrix, so (v @ P[i]) % p is v^(p^i).  M[i, j] = x^(i+j) mod the
+        modulus, so sum_j b_j M[:, j] is the matrix of multiplication by b:
+        (a @ that) % p is a b."""
+        if self._tables is None:
+            p, d = self.p, self.d
+            F = self._frob_matrix()     # checks the bound 2d-1 >= d
+            P = np.empty((d, d, d), dtype=np.int64)
+            P[0] = np.eye(d, dtype=np.int64)
+            for i in range(1, d):
+                P[i] = P[i - 1] @ F % p
+            R = _power_rows(np.array([self.modulus[:-1]], dtype=np.int64), p, 2 * d - 1)[0]
+            self._tables = (P, R[np.add.outer(np.arange(d), np.arange(d))])
+        return self._tables
 
     def coords(self, a):
         return tuple(a)
@@ -262,8 +284,12 @@ def _half_ext_gcd(F, f, g):
 
 
 def ppowmod(F, f, e, m):
-    out = (F.one,)
     b = pmod(F, f, m)
+    if F.degree == 1 and pdeg(m) > 0:
+        # GF(p)[x]/(m) multiplies on plain ints, as an ExtField does
+        R = ExtField(F, pmonic(F, m))
+        return ptrim(F, R.pow_(b + (0,) * (R.d - len(b)), e))
+    out = (F.one,)
     while e:
         if e & 1:
             out = pmod(F, pmul(F, out, b), m)
@@ -302,6 +328,8 @@ def squarefree_decomposition(F, f):
             out.append((g, m * F.p))
         return out
     c = pgcd(F, f, df)
+    if c == (F.one,):
+        return [(f, 1)]
     w = pdivmod(F, f, c)[0]
     i = 1
     while pdeg(w) > 0:
@@ -363,32 +391,39 @@ def _equal_degree(F, f, t):
     split roots that are conjugate over that subfield, because the quadratic
     character is Galois-stable.
     """
-    q = F.order
-    e = (q**t - 1) // 2
     work = [f]
     done = []
-    counter = q if F.degree == 1 else q + F.p   # x + from_counter(counter - q)
-    guard = 0
+    counter = F.order if F.degree == 1 else F.order + F.p   # see _split_once
     while work:
         g = work.pop()
         if pdeg(g) == t:
             done.append(g)
             continue
-        while True:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("root splitting failed to converge")
-            b = _poly_from_counter(F, counter, pdeg(g))
-            counter += 1
-            c = pgcd(F, b, g)
-            if 0 < pdeg(c) < pdeg(g):
-                break
-            c = pgcd(F, psub(F, ppowmod(F, b, e, g), (F.one,)), g)
-            if 0 < pdeg(c) < pdeg(g):
-                break
+        c, counter = _split_once(F, g, t, counter)
         work.append(c)
         work.append(pdivmod(F, g, c)[0])
     return done
+
+
+def _split_once(F, g, t, counter):
+    """(c, next): a proper monic factor c of the squarefree monic g, whose
+    irreducible factors all have degree t < deg g, and the number of the
+    trial after the one that split g.
+
+    Trial number n is the polynomial `_poly_from_counter(F, n, deg g)`: from
+    n = q that is x, x+1, ... over GF(p); over an extension field the first is
+    x + from_counter(p), the generator's shift.
+    """
+    e = (F.order**t - 1) // 2
+    for n in range(counter, counter + 10000):
+        b = _poly_from_counter(F, n, pdeg(g))
+        c = pgcd(F, b, g)
+        if 0 < pdeg(c) < pdeg(g):
+            return c, n + 1
+        c = pgcd(F, psub(F, ppowmod(F, b, e, g), (F.one,)), g)
+        if 0 < pdeg(c) < pdeg(g):
+            return c, n + 1
+    raise RuntimeError("root splitting failed to converge")
 
 
 def _poly_from_counter(F, t, maxdeg):
@@ -446,23 +481,15 @@ def _frobenius(C, p, tmax):
     check_int64(p, 2 * d - 1, "Frobenius matrix")
     C = C % p
     neg = -C % p                         # x^d mod f_n
-
-    def times_x(v):
-        out = np.zeros_like(v)
-        out[:, 1:] = v[:, :-1]
-        return (out + v[:, -1:] * neg) % p
-
     # hi[n, s] = x^(d+s) mod f_n reduces the top half of a product
-    hi = np.empty((N, d - 1, d), dtype=np.int64)
-    row = neg
-    for s in range(d - 1):
-        hi[:, s] = row
-        row = times_x(row)
+    hi = _power_rows(C, p, 2 * d - 1)[:, d:]
 
     def mulmod(a, b):
-        prod = np.zeros((N, 2 * d - 1), dtype=np.int64)   # d products a term
-        for i in range(d):
-            prod[:, i:i + d] += a[:, i:i + 1] * b
+        # the outer products laid in rows 2d apart and read 2d-1 apart: row i
+        # shifts by i, and the column sums (d products a term) are the product
+        rows = np.zeros((N, d, 2 * d), dtype=np.int64)
+        rows[:, :, :d] = a[:, :, None] * b[:, None, :]
+        prod = rows.reshape(N, -1)[:, :d * (2 * d - 1)].reshape(N, d, 2 * d - 1).sum(axis=1)
         # d + (d-1) products a term
         return (prod[:, :d] + (prod[:, None, d:] % p @ hi)[:, 0]) % p
 
@@ -472,16 +499,35 @@ def _frobenius(C, p, tmax):
     for bit in bin(p)[2:]:
         xp = mulmod(xp, xp)
         if bit == "1":
-            xp = times_x(xp)
+            xp = _times_x(xp, neg, p)
     Q = np.empty((N, d, d), dtype=np.int64)
     Q[:, 0] = one
     for i in range(1, d):
         Q[:, i] = mulmod(Q[:, i - 1], xp)
     H = np.empty((N, tmax + 1, d), dtype=np.int64)
-    H[:, 0] = times_x(one)
+    H[:, 0] = _times_x(one, neg, p)
     for t in range(tmax):
         H[:, t + 1] = (H[:, t, None] @ Q)[:, 0] % p         # d products a term
     return Q, H
+
+
+def _times_x(v, neg, p):
+    """x v(x) mod each f_n, for (N, d) rows v of residues and neg = x^d mod f_n."""
+    out = v[:, -1:] * neg
+    out[:, 1:] += v[:, :-1]
+    return out % p
+
+
+def _power_rows(C, p, n):
+    """R[n, t] = x^t mod f_n for t < n, f_n = x^d + sum_j C[n, j] x^j, from
+    the (N, d) int64 array C of residues: an (N, n, d) array."""
+    N, d = C.shape
+    neg = -C % p
+    R = np.zeros((N, n, d), dtype=np.int64)
+    R[:, :d, :] = np.eye(d, dtype=np.int64)[:n]
+    for t in range(d, n):
+        R[:, t] = _times_x(R[:, t - 1], neg, p)
+    return R
 
 
 _SEARCH_BLOCK = 64      # candidates per block of the modulus search
@@ -562,13 +608,9 @@ def canonical_field(p, d):
 def embed_root(g_ints, K):
     """Lex-least root in K of a monic irreducible g over GF(p), deg(g) | K.degree.
 
-    Splitting resolvents are norms built from Frobenius powers of x mod g, so
-    they evaluate to prime-field scalars at every root and only need exponent
-    (p-1)/2.  Because g keeps prime-field coefficients, all heavy arithmetic
-    vectorizes: polynomials over K are integer matrices (rows = x-degree,
-    columns = generator coordinates), multiplied by one exact int64
-    convolution of their flattened rows and reduced by precomputed matrices
-    on either axis.
+    One root comes from Berlekamp's trace algorithm (`_find_root_vectorized`),
+    run entirely over GF(p); the least of its Frobenius conjugates by
+    coordinates is returned.
     """
     dp = len(g_ints) - 1
     if K.degree % dp:
@@ -583,99 +625,147 @@ def embed_root(g_ints, K):
 
 
 def _find_root_vectorized(g_ints, K):
+    """A root of g in K = GF(p)[y]/(m) by Berlekamp's trace algorithm
+    (Berlekamp, "Factoring polynomials over large finite fields", 1970;
+    von zur Gathen and Gerhard, Modern Computer Algebra, section 14.3).
+
+    A (x) K, with A = GF(p)[x]/(g), is K[x]/(g) = K^dp, one factor per root
+    r_j of g.  Its elements are dp x D int64 arrays (rows = x-degree,
+    columns = y-coordinates).  T_m = sum_{i<D} (x^(p^i) mod g) (x) (y^m)^(p^i)
+    takes the value Tr_{K/GF(p)}(y^m r_j), in GF(p), at r_j; all T_m come from
+    the rows x^(p^i) mod g and K's Frobenius powers.  Starting from the
+    idempotent e = 1, step m reads the multiset of T_m's values on e's support
+    from the power sums Tr(e T_m^i) (Newton's identities, which need
+    deg g < p).  It picks one value of least multiplicity, splitting that
+    part of the multiset over GF(p) into smaller factors (Cantor-Zassenhaus,
+    `_split_once`) down to a quadratic, solved by a square root mod p, or a
+    linear factor, and replaces e by the value's
+    Lagrange idempotent: a GF(p) combination of the Krylov vectors e T_m^i,
+    each one product with the matrix of multiplication by T_m.  Tr(r_j) is
+    the same on the conjugate orbit, so m = 0 is skipped; the values for
+    1 <= m < D determine r_j, since the trace form is nondegenerate, so the
+    loop ends with e primitive.  Then x e = r e and Tr(e) = 1 give the root
+    r = Tr(x e), with no division in K.
+    """
     p = K.p
     D = K.degree
     dp = len(g_ints) - 1
-    Fp = canonical_field(p, 1)
-    g = pfrom_ints(Fp, g_ints)
-    # column reduction: y^j mod K's modulus m for j < 2D-1, a (2D-1) x D matrix
-    m = K.modulus
-    redm = np.zeros((2 * D - 1, D), dtype=np.int64)
-    for j in range(2 * D - 1):
-        row = pmod(Fp, (0,) * j + (1,), m)
-        redm[j, :len(row)] = row
-    # row reduction: x^t mod g for t < 2*dp-1, as a (2*dp-1) x dp matrix
-    redg = np.zeros((2 * dp - 1, dp), dtype=np.int64)
-    for t in range(2 * dp - 1):
-        row = pmod(Fp, (0,) * t + (1,), g)
-        redg[t, :len(row)] = row
-
-    # polynomials over K have at most dp rows and D columns, so a product has
-    # at most dp*D residue products a term; the reductions take 2D-1 and 2dp-1
+    if dp >= p:
+        raise ValueError(f"embed_root: Newton's identities need deg g < p, "
+                         f"and deg g = {dp} >= p = {p}")
+    # the sums of residue products below have at most D terms (T_m, products
+    # in K, K's tables), dp (x^(p^i), the matrix of multiplication by T_m,
+    # the traces, the Lagrange combination) or dp*D (one product with that
+    # matrix), and dp*D >= 2D-1 covers K's Frobenius matrix too
     check_int64(p, dp * D, "embed_root")
+    Fp = PrimeField(p)
+    P, Ym = K.tables()
+    # A = GF(p)[x]/(g); its rows x^t, t < 2dp, give the products' reduction
+    # Xm[t, u] = x^(t+u) mod g and the traces tr[t] = Tr(x^t), t <= dp, as
+    # sums of diagonal coordinates
+    A = ExtField(Fp, g_ints)
 
-    def reduce_gamma(raw):
-        cols = raw % p @ redm[:raw.shape[1]] % p
-        if cols.shape[0] > dp:
-            cols = redg[:cols.shape[0]].T @ cols % p
-        return cols
+    def times_x(a):
+        return tuple((b + a[-1] * c) % p for b, c in zip((0,) + a[:-1], A._redrow))
 
-    W = 2 * D - 1
+    powers = [A.one]
+    for _ in range(2 * dp - 1):
+        powers.append(times_x(powers[-1]))
+    Xm = np.array(powers, dtype=np.int64)[np.add.outer(np.arange(dp), np.arange(dp))]
+    tr = [sum(powers[t + i][i] for i in range(dp)) % p for t in range(dp + 1)]
+    # x^(p^i) mod g for i < D (period dp), from x^p and the rows x^(jp) of
+    # A's Frobenius matrix; dp products a term
+    xp = A.one
+    for bit in bin(p)[2:]:
+        xp = A.mul(xp, xp)
+        if bit == "1":
+            xp = times_x(xp)
+    rows = [A.one, xp]
+    while len(rows) < dp:
+        rows.append(A.mul(rows[-1], xp))
+    Q = np.array(rows, dtype=np.int64)
+    hp = np.empty((dp, dp), dtype=np.int64)
+    hp[0] = A.gen
+    for i in range(1, dp):
+        hp[i] = hp[i - 1] @ Q % p
+    hp = hp[np.arange(D) % dp].T
 
-    def flat(A):
-        # rows W apart, trailing zeros dropped
-        out = np.zeros((A.shape[0], W), dtype=np.int64)
-        out[:, :D] = A
-        return out.ravel()[:out.size - D + 1]
+    e = np.zeros((dp, D), dtype=np.int64)
+    e[0, 0] = 1
+    n = dp          # the size of e's support
+    for m in range(1, D):
+        T = hp @ P[:, m] % p
+        # Z T = sum_{t,u,i} Z[t, i] (y^i T[u]) x^(t+u) mod g, so on flattened
+        # elements, multiplication by T is the matrix L[(t, i), (s, d)] =
+        # sum_u Xm[t, u, s] (y^i T[u])_d
+        TK = np.einsum("uc,icd->uid", T, Ym) % p
+        L = Xm.transpose(0, 2, 1).reshape(dp * dp, dp) @ TK.reshape(dp, D * D)
+        L = L.reshape(dp, dp, D, D).transpose(0, 2, 1, 3).reshape(dp * D, dp * D) % p
+        krylov = [e.ravel()]
+        for _ in range(n):
+            krylov.append(krylov[-1] @ L % p)
+        krylov = np.array(krylov).reshape(n + 1, dp, D)
+        sums = (krylov[1:, :, 0] @ np.array(tr[:dp]) % p).tolist()
+        parts = squarefree_decomposition(Fp, _from_power_sums(sums, p))
+        if len(parts) == 1 and pdeg(parts[0][0]) == 1:
+            continue        # T_m is constant on the support
+        least, n = parts[0]
+        # one root of the least-frequent values: split, keep the smaller factor
+        counter = p
+        while pdeg(least) > 2:
+            c, counter = _split_once(Fp, least, 1, counter)
+            rest = pdivmod(Fp, least, c)[0]
+            least = c if pdeg(c) <= pdeg(rest) else rest
+        if pdeg(least) == 2:
+            # (-b + sqrt(b^2 - 4c)) / 2; the discriminant is a nonzero square
+            c0, b = least[0], least[1]
+            v = (_sqrt_modp((b * b - 4 * c0) % p, p) - b) * ((p + 1) // 2) % p
+        else:
+            v = -least[0] % p
+        # Lagrange polynomial of v: (prod of (X - u), u a value) / (X - v),
+        # scaled to 1 at v
+        rad = (1,)
+        for h, _mult in parts:
+            rad = pmul(Fp, rad, h)
+        q = pdivmod(Fp, rad, (-v % p, 1))[0]
+        scale = pow(sum(c * pow(v, i, p) for i, c in enumerate(q)), -1, p)
+        coef = np.array([c * scale % p for c in q], dtype=np.int64)
+        e = (coef @ krylov[:len(q)].reshape(len(q), -1) % p).reshape(dp, D)
+        if n == 1:
+            # r = Tr(x e) = sum_t Tr(x^(t+1)) e_t
+            return tuple((np.array(tr[1:]) @ e % p).tolist())
+    raise ArithmeticError("g has no simple root in K")
 
-    def mulmod(A, B):
-        # a column index of the product is at most 2D-2 < W, so the row blocks
-        # of the one flat convolution never overlap
-        return reduce_gamma(np.convolve(flat(A), flat(B)).reshape(-1, W))
 
-    # x^(p^i) mod g stay prime-field polynomials
-    hp = _frobenius(np.array([g_ints[:-1]], dtype=np.int64), p, dp - 1)[1][0]
-    hmat = []
-    for h in hp:
-        A = np.zeros((dp, D), dtype=np.int64)
-        A[:, 0] = h
-        hmat.append(A)
+def _sqrt_modp(a, p):
+    """A square root of the nonzero square a modulo the odd prime p
+    (Tonelli-Shanks, with the least quadratic non-residue)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
-    def norm_resolvent(a):
-        # product over i of (x^(p^i) + sigma^i(a)) mod g, then ^((p-1)/2)
-        gamma = np.zeros((1, D), dtype=np.int64)
-        gamma[0, 0] = 1
-        sa = a
-        for i in range(D):
-            fac = hmat[i % dp].copy()
-            fac[0] += np.asarray(K.coords(sa), dtype=np.int64)
-            fac[0] %= p
-            gamma = mulmod(gamma, fac)
-            sa = K.frob(sa)
-        out = np.zeros((1, D), dtype=np.int64)
-        out[0, 0] = 1
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                out = mulmod(out, gamma)
-            gamma = mulmod(gamma, gamma)
-            e >>= 1
-        return out
 
-    def rows_to_poly(A):
-        return ptrim(K, [K.from_coords(tuple(int(v) for v in row)) for row in A])
-
-    current = pfrom_ints(K, g_ints)
-    one_poly = (K.one,)
-    # prime-field shifts make the norm resolvent constant on the conjugate
-    # orbit, so enumeration starts at the first element outside GF(p)
-    trial = p - 1
-    guard = 0
-    while pdeg(current) > 1:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("root splitting failed to converge")
-        trial += 1
-        a = K.from_counter(trial)
-        s = rows_to_poly(norm_resolvent(a))
-        s = pmod(K, s, current)
-        for cand in (psub(K, s, one_poly), s):
-            c = pgcd(K, cand, current)
-            if 0 < pdeg(c) < pdeg(current):
-                current = c if pdeg(c) <= pdeg(current) - pdeg(c) \
-                    else pdivmod(K, current, c)[0]
-                break
-    return K.neg(current[0])
+def _from_power_sums(sums, p):
+    """The monic polynomial over GF(p) whose roots, with multiplicity, have the
+    power sums sums[i-1] = sum r^i, 1 <= i <= n, for n < p (Newton's
+    identities): its coefficients, constant term first."""
+    n = len(sums)
+    elem = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1))
+        elem.append(acc * pow(k, -1, p) % p)
+    return tuple((-1) ** k * elem[k] % p for k in range(n, -1, -1))
 
 
 def split_roots(K, f):

@@ -10,8 +10,12 @@ Forms: A Computational Approach, 2007).  Otherwise the T_2 eigenspace is a
 nullspace over GF(p)[x]/(g), refined by T_3, T_5, ... where eigenvalues
 coincide; when a later a_ell needs a larger field, the refinement continues
 in the canonical GF(p^D).  a_ell and a_p are read off the normalized
-eigenform expansion at precision p+1.  The full T_p matrix (which needs
-dim-times-larger precision) is kept only as a determinant oracle.
+eigenform expansion at precision p+1.  A class is recorded in the canonical
+field through the matrix of the field map, whose rows are the powers of the
+lex-least root of g there (`ffpoly.embed_root`, found with GF(p) arithmetic
+only): all of its values and a_p are one int64 product with that matrix.
+The full T_p matrix (which needs dim-times-larger precision) is kept only as
+a determinant oracle.
 """
 
 from dataclasses import dataclass
@@ -277,10 +281,10 @@ def _refine(p, k, d, K, space, path, ells, idx, B, prec0):
         else:
             # a_ell needs a larger field: continue in the canonical one
             K2 = ffpoly.canonical_field(p, K.degree * ffpoly.pdeg(h))
-            ev = _embedding(K, K2)
-            A2 = [[ev(x) for x in row] for row in A]
-            space2 = [[ev(x) for x in v] for v in space]
-            mu = ffpoly.split_roots(K2, tuple(ev(c) for c in h))[0]
+            M = _embedding(K, K2)
+            A2 = [_apply(M, K2, row) for row in A]
+            space2 = [_apply(M, K2, v) for v in space]
+            mu = ffpoly.split_roots(K2, tuple(_apply(M, K2, h)))[0]
         E = mat_nullspace(K2, [[K2.sub(A2[i][j], mu if i == j else K2.zero)
                                 for j in range(m)] for i in range(m)])
         newspace = [[_dot(K2, e, col) for col in zip(*space2)] for e in E]
@@ -330,27 +334,36 @@ def _coefficients(p, rows, K, vec, idx):
 
 
 def _embedding(K, K2):
-    """The field map K -> K2 sending x to the lex-least root of K's modulus
-    in K2 (K.degree divides K2.degree); on GF(p) it is K2.from_int."""
-    if K.degree == 1:
-        return K2.from_int
-    root = ffpoly.embed_root(K.modulus, K2)
+    """The matrix of the field map K -> K2 sending x to the lex-least root r
+    of K's modulus in K2 (K.degree divides K2.degree): row i holds the
+    coordinates of r^i, so an element's image is its coordinate row times this
+    matrix (`_apply`).  On GF(p) it is the row of K2's one."""
+    rows = [K2.one]
+    if K.degree > 1:
+        root = ffpoly.embed_root(K.modulus, K2)
+        for _ in range(K.degree - 1):
+            rows.append(K2.mul(rows[-1], root))
+    return np.array([K2.coords(x) for x in rows], dtype=np.int64)
 
-    def evaluate(x):
-        acc = K2.zero
-        for c in reversed(x):
-            acc = K2.add(K2.mul(acc, root), K2.from_int(c))
-        return acc
-    return evaluate
+
+def _apply(M, K2, xs):
+    """The images in K2 of the elements xs under the field map with matrix M:
+    one product of their coordinate rows with M."""
+    p = K2.p
+    ffpoly.check_int64(p, len(M), "field map")       # one product a coordinate
+    X = np.array(xs, dtype=np.int64).reshape(len(xs), len(M))
+    return [K2.from_coords(row) for row in (X @ M % p).tolist()]
 
 
 def _canonical_map(p, raw):
-    """(map, K_can): raw.field -> the canonical GF(p^D), D = raw.field.degree,
-    onto the conjugate whose packet (a_2, a_3, a_5, ...) is lex-least by coords.
+    """(M, K_can): the matrix of the field map raw.field -> the canonical
+    GF(p^D), D = raw.field.degree, onto the conjugate whose packet
+    (a_2, a_3, a_5, ...) is lex-least by coords.
 
     In GF(p)[x]/(g), a_2 = x generates the field, so mapping x to the lex-least
     root of g is that conjugate.  A class whose field grew during refinement
-    already lives in K_can; the least Frobenius power j < D is applied.
+    already lives in K_can; the least Frobenius power j < D is applied, whose
+    matrix is F^j for K_can's Frobenius matrix F.
     """
     K = raw.field
     D = K.degree
@@ -362,15 +375,17 @@ def _canonical_map(p, raw):
     for _ in range(D - 1):
         orbit.append([K_can.frob(v) for v in orbit[-1]])
     j = min(range(D), key=lambda i: [K_can.coords(v) for v in orbit[i]])
-    return (lambda x: K_can.pow_(x, p**j)), K_can
+    return K_can.tables()[0][j], K_can
 
 
 def _canonical_system(p, k, raw, B, semisimple):
     D = raw.field.degree
-    ev, K_can = _canonical_map(p, raw)
-    wrap = lambda x: ExtFieldElem(p, D, K_can.coords(ev(x)))
-    values = {ell: wrap(v) for ell, v in sorted(raw.values.items())}
-    return EigenSystem(p, k, D, values, wrap(raw.ap), raw.mult, semisimple, B)
+    M, K_can = _canonical_map(p, raw)
+    ells = sorted(raw.values)
+    *images, ap = _apply(M, K_can, [raw.values[ell] for ell in ells] + [raw.ap])
+    wrap = lambda x: ExtFieldElem(p, D, K_can.coords(x))
+    values = {ell: wrap(v) for ell, v in zip(ells, images)}
+    return EigenSystem(p, k, D, values, wrap(ap), raw.mult, semisimple, B)
 
 
 def _system_from_doc(p, k, B, doc):
@@ -491,8 +506,8 @@ def expansions(p: int, k: int, prec: int, B: int | None = None) -> list:
     for r in raw:
         K = r.field
         rows = _basis_rows(p, k, max(prec, p + 2, 2 * d + 2, B + 2))
-        ev, K_can = _canonical_map(p, r)
-        coeffs = [K_can.coords(ev(c))
-                  for c in _coefficients(p, rows, K, r.vec, range(prec))]
+        M, K_can = _canonical_map(p, r)
+        coeffs = [K_can.coords(c) for c in
+                  _apply(M, K_can, _coefficients(p, rows, K, r.vec, range(prec)))]
         out.append({"d": K.degree, "mult": r.mult, "ss": ss, "coeffs": coeffs})
     return out

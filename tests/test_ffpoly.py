@@ -10,7 +10,7 @@ import pytest
 import wzcert
 from wzcert import ffpoly
 from wzcert.cache import clear_memos
-from wzcert.hecke import _embedding
+from wzcert.hecke import _apply, _embedding
 from wzcert.primes import primes_up_to
 
 # sha256 of the moduli of every prime 5 < p <= 180 and 2 <= d <= 14, as
@@ -39,6 +39,8 @@ def test_embed_root_battery():
                 K = ffpoly.canonical_field(p, dp * mult)
                 r = ffpoly.embed_root(g, K)
                 assert peval(K, ffpoly.pfrom_ints(K, g), r) == K.zero
+                # oracle: Cantor-Zassenhaus over K, sorted by coordinates
+                assert r == ffpoly.split_roots(K, ffpoly.pfrom_ints(K, g))[0]
 
 
 def _irreducible(F, d, c0):
@@ -61,6 +63,22 @@ def test_embed_root_is_exact_for_large_primes():
             r = ffpoly.embed_root(g, K)
             assert peval(K, ffpoly.pfrom_ints(K, g), r) == K.zero
     assert (100000007 - 1) ** 2 > 2**53
+
+
+def test_embed_root_int64_bound():
+    # 2^31 - 1 is prime and 3 mod 4, so x^2 + 1 is irreducible; dp*D = 4
+    # products of residues exceed 2^63
+    Fp = ffpoly.canonical_field(2**31 - 1, 1)
+    K = ffpoly.ExtField(Fp, (1, 0, 1))
+    with pytest.raises(ValueError, match=r"embed_root: int64 arithmetic needs 4\*\(p-1\)\^2"):
+        ffpoly.embed_root((1, 0, 1), K)
+
+
+def test_embed_root_needs_degree_below_p():
+    # Newton's identities divide by 1..deg g
+    g = ffpoly.canonical_modulus(7, 7)
+    with pytest.raises(ValueError, match=r"deg g < p, and deg g = 7 >= p = 7"):
+        ffpoly.embed_root(g, ffpoly.canonical_field(7, 7))
 
 
 def test_embed_root_deterministic():
@@ -90,7 +108,8 @@ def test_embedding_into_canonical_field():
     K = ffpoly.ExtField(Fp, (2, 1, 1))
     assert ffpoly.factor_monic(Fp, K.modulus) == [(K.modulus, 1)]
     K_can = ffpoly.canonical_field(5, 4)
-    ev = _embedding(K, K_can)
+    M = _embedding(K, K_can)
+    ev = lambda x: _apply(M, K_can, [x])[0]
     rng = random.Random(2)
     for _ in range(50):
         a = K.from_counter(rng.randrange(K.order))

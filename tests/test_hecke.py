@@ -151,6 +151,19 @@ def test_disk_cache_roundtrip():
     assert a == b
 
 
+def test_cache_entry_is_one_compact_json_write(tmp_path):
+    disk = DiskCache(str(tmp_path))
+    key = (107, 26, 13)
+    value = [s.as_doc() for s in hecke.eigensystems(*key)]
+    disk.put("eigsys", key, value)
+    doc = {"toolversion": wzcert.TOOL_VERSION, "schema": wzcert.CACHE_SCHEMA,
+           "key": list(key), "value": value}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with open(disk._path("eigsys", key), "rb") as fh:
+        assert fh.read() == text.encode("ascii")
+    assert disk.get("eigsys", key) == value
+
+
 def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
     cache.set_cache(DiskCache(str(tmp_path)))   # empty: every layer computes
     try:
