@@ -28,6 +28,8 @@ class DiskCache:
         try:
             with open(self._path(namespace, key), "r", encoding="ascii") as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                return None
             if doc.get("toolversion") != TOOL_VERSION:
                 return None
             if doc.get("schema") != CACHE_SCHEMA:

@@ -2,20 +2,19 @@
 
 T_m acts on the Miller basis through the classical coefficient formula
 a_n(T_m f) = sum_{r | gcd(m,n)} r^(k-1) a_{mn/r^2}(f).  Mod-p eigen systems
-come from the irreducible factors g of the T_2 charpoly over GF(p).  When
-ker g(T_2) over GF(p) has dimension deg g, as it has for all but a few
-factors, the eigenvector for the root x of g in GF(p)[x]/(g) is built from
-one vector of that kernel with int64 arithmetic over GF(p) (Stein, Modular
-Forms: A Computational Approach, 2007).  Otherwise the T_2 eigenspace is a
-nullspace over GF(p)[x]/(g), refined by T_3, T_5, ... where eigenvalues
-coincide; when a later a_ell needs a larger field, the refinement continues
-in the canonical GF(p^D).  a_ell and a_p are read off the normalized
-eigenform expansion at precision p+1.  A class is recorded in the canonical
-field through the matrix of the field map, whose rows are the powers of the
-lex-least root of g there (`ffpoly.embed_root`, found with GF(p) arithmetic
-only): all of its values and a_p are one int64 product with that matrix.
-The full T_p matrix (which needs dim-times-larger precision) is kept only as
-a determinant oracle.
+come from the irreducible factors g of the T_2 charpoly over GF(p).  The
+T_2 eigenspace of the root x of g in K = GF(p)[x]/(g) is built from
+ker g(T_2) over GF(p) with int64 arithmetic over GF(p), one vector for each
+kernel vector outside the K-span of those before it (Stein, Modular Forms:
+A Computational Approach, 2007).  An eigenspace of more than one vector is
+refined by T_3, T_5, ... where eigenvalues coincide; when a later a_ell
+needs a larger field, the refinement continues in the canonical GF(p^D).
+a_ell and a_p are read off the normalized eigenform expansion at precision
+p+1.  A class is recorded in the canonical field through the matrix of the
+field map, whose rows are the powers of the lex-least root of g there
+(`ffpoly.embed_root`, found with GF(p) arithmetic only): all of its values
+and a_p are one int64 product with that matrix.  The full T_p matrix (which
+needs dim-times-larger precision) is kept only as a determinant oracle.
 """
 
 from dataclasses import dataclass
@@ -190,11 +189,10 @@ def _raw_classes(p, k, B):
 
     Returns (classes, semisimple, dim).  Each irreducible factor g of the T_2
     charpoly gives the eigenvalue x of T_2 in K = GF(p)[x]/(g) (GF(p) when
-    deg g = 1).  When ker g(T_2) over GF(p) has dimension deg g, the
-    K-eigenspace is one vector, built from that kernel without K-arithmetic
-    (`_t2_eigenvector`).  Otherwise the eigenspace is the nullspace of
-    T_2 - x over K, refined by T_3, T_5, ...; a class whose later a_ell needs
-    a larger field continues in the canonical GF(p^D).  Mapping K into the
+    deg g = 1), and its K-eigenspace is built from ker g(T_2) over GF(p)
+    without K-arithmetic (`_t2_eigenspace`).  An eigenspace of more than one
+    vector is refined by T_3, T_5, ...; a class whose later a_ell needs a
+    larger field continues in the canonical GF(p^D).  Mapping K into the
     canonical field happens separately.
     """
     d = dim_cusp(k)
@@ -209,17 +207,7 @@ def _raw_classes(p, k, B):
     for g, _mult in ffpoly.factor_monic(Fp, mat_charpoly(Fp, M2)):
         path = ((2, _factor_key(Fp, g)),)
         K = Fp if ffpoly.pdeg(g) == 1 else ffpoly.ExtField(Fp, g)
-        v = _t2_eigenvector(p, K, M2, g)
-        if v is not None:
-            leaves.append((K, [v], path))
-            continue
-        if K is Fp:
-            lam, MK = Fp.neg(g[0]), M2
-        else:
-            lam, MK = K.gen, mat_lift(K, M2)
-        A = [[K.sub(MK[i][j], lam if i == j else K.zero) for j in range(d)]
-             for i in range(d)]
-        space = mat_nullspace(K, A)
+        space = _t2_eigenspace(p, K, M2, g)
         leaves.extend(_refine(p, k, d, K, space, path, ells, 1, B, prec0))
     classes = [_leaf_class(p, k, K, space, path, B, prec0)
                for K, space, path in leaves]
@@ -228,30 +216,41 @@ def _raw_classes(p, k, B):
     return classes, semisimple, d
 
 
-def _t2_eigenvector(p, K, M2, g):
-    """An eigenvector of T_2 (the matrix M2) for the root x of g in K, or None
-    when ker g(T_2) over GF(p) is not deg g-dimensional, that is when the
-    K-eigenspace has more than one vector.
+def _t2_eigenspace(p, K, M2, g):
+    """A K-basis of the eigenspace of T_2 (the matrix M2) for the root x of g
+    in K.
 
-    For w != 0 in the kernel and u_i = T_2^i w, the vector
-    v = sum_i c_i(x) u_i, with g(X)/(X - x) = sum_i c_i(x) X^i, satisfies
-    (T_2 - x) v = g(T_2) w = 0, and v != 0 because its x^(D-1) coordinate is
-    w.  Its x^t coordinates are V[:, t] = sum_{i <= D-1-t} g_{i+t+1} u_i
-    (Stein, Modular Forms: A Computational Approach, 2007).
+    W = ker g(T_2) over GF(p) is a K-vector space, x acting as T_2.  For w in
+    W and u_i = T_2^i w, the vector v = sum_i c_i(x) u_i, with
+    g(X)/(X - x) = sum_i c_i(x) X^i, satisfies (T_2 - x) v = g(T_2) w = 0.
+    The map w -> v is K-linear and onto the eigenspace, and injective because
+    v's x^(D-1) coordinate is w.  Its x^t coordinates are
+    V[:, t] = sum_{i <= D-1-t} g_{i+t+1} u_i (Stein, Modular Forms: A
+    Computational Approach, 2007).  A row of W is mapped unless it lies in the
+    GF(p)-span of the u_i of the rows mapped before it, which is their K-span;
+    so the images are a K-basis.  When dim W = deg g, as for all but a few
+    factors, the first row spans W and no span test runs.
     """
     W = poly_kernel_modp(p, M2, g)
     D = len(g) - 1
-    if len(W) != D:
-        return None
     # these sums have at most d products of residues: within the kernel's bound
     T = np.array(M2, dtype=np.int64)
-    U = np.empty((len(M2), D), dtype=np.int64)
-    U[:, 0] = W[0]
-    for i in range(1, D):
-        U[:, i] = T @ U[:, i - 1] % p
     idx = np.add.outer(np.arange(D), np.arange(D)) + 1
     G = np.where(idx <= D, np.array(g, dtype=np.int64)[np.minimum(idx, D)], 0)
-    return [K.from_coords(tuple(row)) for row in (U @ G % p).tolist()]
+    Fp = ffpoly.canonical_field(p, 1)
+    span, space = [], []
+    for w in W.tolist():
+        if len(span) == len(W):
+            break
+        if span and len(rref(Fp, span + [w])[1]) == len(span):
+            continue
+        U = np.empty((len(M2), D), dtype=np.int64)
+        U[:, 0] = w
+        for i in range(1, D):
+            U[:, i] = T @ U[:, i - 1] % p
+        span.extend(U.T.tolist())
+        space.append([K.from_coords(tuple(row)) for row in (U @ G % p).tolist()])
+    return space
 
 
 def _refine(p, k, d, K, space, path, ells, idx, B, prec0):
@@ -479,14 +478,12 @@ def ap_profile(p: int, k: int, B: int | None = None) -> list:
     skips canonicalization entirely; scans use it to locate non-ordinary
     weights at basis precision ~p.
     """
-    if B is None:
-        B = default_bound(p)
-    key = (p, k, B)
+    key = (p, k, _checked_bound(p, k, B))
     dc = diskcache.get_cache()
     out = _profile_from_doc(k, dc.get("profile", key))
     if out is not None:
         return out
-    raw, ss, _d = _raw_classes(p, k, B)
+    raw, ss, _d = _raw_classes(*key)
     out = [(r.field.degree, r.ap == r.field.zero, r.mult) for r in raw]
     dc.put("profile", key, {"classes": [list(item) for item in out], "ss": ss})
     return out

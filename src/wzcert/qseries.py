@@ -49,32 +49,30 @@ class PowerSeries:
         return self.coeffs[n]
 
 
-def _conv_exact(a, b, n):
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        top = min(len(b), n - i)
-        for j in range(top):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _conv_modp(a, b, n, p):
+def _conv(a, b, n, p):
+    """The first n coefficients of the product of a and b: exact over the
+    integers when p is None, else residues mod p."""
+    if p is None:
+        out = [0] * n
+        for i, ai in enumerate(a[:n]):
+            if ai:
+                for j in range(min(len(b), n - i)):
+                    out[i + j] += ai * b[j]
+        return out
     check_int64(p, min(len(a), len(b)), "q-series product")   # products a term
     c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     return [int(x) for x in c[:n] % p]
+
+
+def _reduced(X, p):
+    return X if p is None else X % p
 
 
 def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Truncated product; weights add, precision is the minimum of the two."""
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
-    n = min(f.prec, g.prec)
-    if f.ring is None:
-        coeffs = _conv_exact(f.coeffs, g.coeffs, n)
-    else:
-        coeffs = _conv_modp(f.coeffs, g.coeffs, n, f.ring)
+    coeffs = _conv(f.coeffs, g.coeffs, min(f.prec, g.prec), f.ring)
     return PowerSeries(f.ring, f.weight + g.weight, tuple(coeffs))
 
 
@@ -119,18 +117,10 @@ def delta(prec: int, p: int | None = None) -> PowerSeries:
         if p2 < prec:
             eta[p2] += s
         m += 1
-    if p is None:
-        sq = lambda a: _conv_exact(a, a, prec)
-        mul = lambda a, b: _conv_exact(a, b, prec)
-    else:
-        eta = [x % p for x in eta]
-        sq = lambda a: _conv_modp(a, a, prec, p)
-        mul = lambda a, b: _conv_modp(a, b, prec, p)
-    e2 = sq(eta)
-    e4 = sq(e2)
-    e8 = sq(e4)
-    e16 = sq(e8)
-    e24 = mul(e16, e8)
+    # eta's coefficients are 0 and +-1, within _conv's int64 bound unreduced
+    sq = lambda a: _conv(a, a, prec, p)
+    e8 = sq(sq(sq(eta)))
+    e24 = _conv(sq(e8), e8, prec, p)
     coeffs = [0] + e24[:prec - 1]
     return PowerSeries(p, 12, tuple(coeffs))
 
@@ -180,11 +170,7 @@ def _power(p, prec, name, n):
     base = tab[name]
     top = max(pows)
     while top < n:
-        prev = pows[top]
-        if p is None:
-            pows[top + 1] = _conv_exact(prev, base, prec)
-        else:
-            pows[top + 1] = _conv_modp(prev, base, prec, p)
+        pows[top + 1] = _conv(pows[top], base, prec, p)
         top += 1
     return pows[n]
 
@@ -211,25 +197,16 @@ def miller_basis(k: int, prec: int, p: int | None = None) -> MillerBasis:
     rows = []
     for j in range(1, d + 1):
         a, b = _monomial_exponents(k, j)
-        if p is None:
-            row = _conv_exact(_power(p, prec, "D", j), _power(p, prec, "E4", a), prec)
-            if b:
-                row = _conv_exact(row, _tables(p, prec)["E6"], prec)
-        else:
-            row = _conv_modp(_power(p, prec, "D", j), _power(p, prec, "E4", a), prec, p)
-            if b:
-                row = _conv_modp(row, _tables(p, prec)["E6"], prec, p)
+        row = _conv(_power(p, prec, "D", j), _power(p, prec, "E4", a), prec, p)
+        if b:
+            row = _conv(row, _tables(p, prec)["E6"], prec, p)
         rows.append(row)
-    # Gauss-Jordan upward: row t has leading 1 at q^(t+1); clear entries above
+    # Gauss-Jordan upward: row t has leading 1 at q^(t+1); clear entries above.
+    # Mod p an entry is one residue product and a residue: within _conv's bound
+    R = np.array(rows, dtype=object if p is None else np.int64)
     for t in range(d - 1, 0, -1):
-        for s in range(t):
-            c = rows[s][t + 1]
-            if c:
-                if p is None:
-                    rows[s] = [u - c * v for u, v in zip(rows[s], rows[t])]
-                else:
-                    rows[s] = [(u - c * v) % p for u, v in zip(rows[s], rows[t])]
-    forms = tuple(PowerSeries(p, k, tuple(r)) for r in rows)
+        R[:t] = _reduced(R[:t] - np.outer(R[:t, t + 1], R[t]), p)
+    forms = tuple(PowerSeries(p, k, tuple(r)) for r in R.tolist())
     basis = MillerBasis(k, p, prec, forms)
     for j, f in enumerate(basis.forms, start=1):
         for i in range(1, d + 1):

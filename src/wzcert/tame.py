@@ -9,6 +9,7 @@ and the crystalline-family reductions are computed by exact exponent
 enumeration.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -52,7 +53,6 @@ def _from_omega2_multiset(p, exps):
     """Group a multiset of one-dimensional omega_2 exponents (closed under
     multiplication by p) into level-1 singles and level-2 conjugate pairs."""
     M = p * p - 1
-    from collections import Counter
     count = Counter(e % M for e in exps)
     level1, level2 = [], []
     for e in sorted(count):
@@ -165,14 +165,12 @@ class LiftCheckResult:
         return doc
 
 
-def _first_multiset_mismatch(p, got, expected):
-    from collections import Counter
-    cg = Counter(got.level1_exponents())
-    ce = Counter(expected.level1_exponents())
-    for r in range(p - 1):
-        if cg[r] != ce[r]:
-            return (r, ce[r], cg[r])
-    return None
+def _first_mismatch(got, expected):
+    """(item, expected_count, got_count) for the least item whose
+    multiplicities in the two multisets differ; None when they are equal."""
+    cg, ce = Counter(got), Counter(expected)
+    return next(((x, ce[x], cg[x]) for x in sorted(set(cg) | set(ce))
+                 if cg[x] != ce[x]), None)
 
 
 def lift_check_ordinary(p: int, k: int, n: int) -> LiftCheckResult:
@@ -191,7 +189,7 @@ def lift_check_ordinary(p: int, k: int, n: int) -> LiftCheckResult:
         }
         return LiftCheckResult(True, p, k, n, got, expected, lift=lift)
     return LiftCheckResult(False, p, k, n, got, expected,
-                           mismatch=_first_multiset_mismatch(p, got, expected))
+                           mismatch=_first_mismatch(got.level1, expected.level1))
 
 
 def lift_check_nonordinary(p: int, k: int) -> LiftCheckResult:
@@ -211,15 +209,7 @@ def lift_check_nonordinary(p: int, k: int) -> LiftCheckResult:
             "hodge_tate_weights": list(range(p)),
         }
         return LiftCheckResult(True, p, k, p, got, expected, lift=lift)
-    mismatch = None
-    if not type_equal(got, expected):
-        from collections import Counter
-        cg = Counter([(1, e) for e in got.level1] + [(2, e) for e in got.level2])
-        ce = Counter([(1, e) for e in expected.level1] +
-                     [(2, e) for e in expected.level2])
-        diff = sorted(set(cg) | set(ce))
-        for key in diff:
-            if cg[key] != ce[key]:
-                mismatch = (key, ce[key], cg[key])
-                break
-    return LiftCheckResult(False, p, k, p, got, expected, mismatch=mismatch)
+    # characters tagged by level; None when only the gcd condition fails
+    chars = lambda T: [(1, e) for e in T.level1] + [(2, e) for e in T.level2]
+    return LiftCheckResult(False, p, k, p, got, expected,
+                           mismatch=_first_mismatch(chars(got), chars(expected)))

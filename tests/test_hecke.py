@@ -4,7 +4,7 @@ import json
 import pytest
 
 import wzcert
-from wzcert import cache, certify as cf, fflinalg, ffpoly, hecke, qseries
+from wzcert import cache, certify as cf, cli, fflinalg, ffpoly, hecke, qseries
 from wzcert.cache import DiskCache
 from wzcert.exactarith import ExtFieldElem
 from wzcert.qseries import PrecisionError, delta, dim_cusp
@@ -243,6 +243,45 @@ def test_entry_of_another_schema_is_a_miss(tmp_path, isolated_cache):
         cache.set_cache(DiskCache(str(isolated_cache)))
 
 
+def test_cache_file_that_is_not_an_object_is_a_miss(tmp_path, isolated_cache, capsys):
+    # valid JSON that is not an entry: recomputed and rewritten, never raised
+    key = (107, 26, 13)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = hecke.eigensystems(*key)
+        path = disk._path("eigsys", key)
+        with open(path, encoding="ascii") as fh:
+            good = fh.read()
+        for text in ("[]", "null", "3", '"x"'):
+            for compute in (lambda: hecke.eigensystems(*key) == fresh,
+                            lambda: cli.main(["certify", "--p", "107",
+                                              "--mode", "ordinary"]) == 0):
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write(text)
+                assert disk.get("eigsys", key) is None
+                cache.clear_memos()
+                assert compute(), text
+                with open(path, encoding="ascii") as fh:
+                    assert fh.read() == good
+        capsys.readouterr()
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_ap_profile_validates_before_it_writes(tmp_path, isolated_cache):
+    cache.set_cache(DiskCache(str(tmp_path)))
+    try:
+        cache.clear_memos()
+        for args in ((9, 24), (107, 24, 0), (5, 12), (107, 13), (107, -2)):
+            with pytest.raises(ValueError):
+                hecke.ap_profile(*args)
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
 def _served_after_planting(disk, namespace, key, bad, compute):
     """Plant `bad` under key, then compute from empty memos."""
     disk.put(namespace, key, bad)
@@ -378,7 +417,7 @@ def test_classes_with_equal_a2_41_144():
         assert quad == [((7, 14), (0, 16), (0, 0)),
                         ((7, 14), (0, 25), (16, 21))], B
     # each shared a_2 leaves a kernel of g(T_2) larger than deg g, so these
-    # classes come from the nullspace over GF(41)[x]/(g) and its refinement
+    # classes come from a T_2 eigenspace of two vectors and its refinement
     Fp = ffpoly.canonical_field(41, 1)
     M2 = _t2_matrix(41, 144)
     raw, _ss, _d = hecke._raw_classes(41, 144, 13)
@@ -389,7 +428,7 @@ def test_classes_with_equal_a2_41_144():
         paths = [r.path for r in raw if r.path[0] == (2, hecke._factor_key(Fp, g))]
         assert len(W) == D * len(paths)
         assert (len(W) > D) == all(len(path) == 2 for path in paths)
-        assert (hecke._t2_eigenvector(41, K, M2, g) is None) == (len(W) > D)
+        assert len(hecke._t2_eigenspace(41, K, M2, g)) == len(W) // D
         if D == 2:
             assert len(W) == 4 and len(paths) == 2
 
@@ -399,30 +438,33 @@ def _t2_matrix(p, k):
     return hecke._op_matrix(hecke._basis_rows(p, k, 2 * d + 2), k, 2, p)
 
 
-def _a1_normalized(K, v):
-    inv = K.inv(v[0])
-    return [K.mul(inv, x) for x in v]
-
-
-def test_t2_eigenvector_from_the_gfp_kernel_matches_the_nullspace_over_K():
-    for p in (107, 139):
+def test_t2_eigenspace_from_the_gfp_kernel_spans_the_nullspace_over_K():
+    # every factor at p = 107 and 139, and the factors whose kernel g(T_2) is
+    # larger than deg g at weights where that happens; at (251, 126) dim W = 3
+    larger = [(41, 144), (67, 56), (131, 66), (179, 90), (251, 126)]
+    weights = [(p, k) for p in (107, 139) for k in range(12, p + 2, 2) if dim_cusp(k)]
+    seen = []
+    for p, k in weights + larger:
         Fp = ffpoly.canonical_field(p, 1)
-        for k in range(12, p + 2, 2):
-            if dim_cusp(k) == 0:
+        M2 = _t2_matrix(p, k)
+        for g, _mult in ffpoly.factor_monic(Fp, fflinalg.mat_charpoly(Fp, M2)):
+            D = ffpoly.pdeg(g)
+            W = fflinalg.poly_kernel_modp(p, M2, g)
+            if (p, k) in larger and len(W) == D:
                 continue
-            M2 = _t2_matrix(p, k)
-            for g, _mult in ffpoly.factor_monic(Fp, fflinalg.mat_charpoly(Fp, M2)):
-                K = Fp if ffpoly.pdeg(g) == 1 else ffpoly.ExtField(Fp, g)
-                lam = Fp.neg(g[0]) if K is Fp else K.gen
-                MK = fflinalg.mat_lift(K, M2)
-                space = fflinalg.mat_nullspace(K, [
-                    [K.sub(x, lam if i == j else K.zero) for j, x in enumerate(row)]
-                    for i, row in enumerate(MK)])
-                v = hecke._t2_eigenvector(p, K, M2, g)
-                if len(space) > 1:
-                    assert v is None, (p, k, g)
-                    continue
-                assert _a1_normalized(K, v) == _a1_normalized(K, space[0]), (p, k, g)
+            K = Fp if D == 1 else ffpoly.ExtField(Fp, g)
+            lam = Fp.neg(g[0]) if K is Fp else K.gen
+            MK = fflinalg.mat_lift(K, M2)
+            null = fflinalg.mat_nullspace(K, [
+                [K.sub(x, lam if i == j else K.zero) for j, x in enumerate(row)]
+                for i, row in enumerate(MK)])
+            space = hecke._t2_eigenspace(p, K, M2, g)
+            assert len(space) == len(W) // D == len(null), (p, k, g)
+            assert fflinalg.rref(K, space)[0] == fflinalg.rref(K, null)[0], (p, k, g)
+            if len(W) > D:
+                seen.append((p, k, len(W)))
+    assert seen == [(41, 144, 2), (41, 144, 2), (41, 144, 2), (41, 144, 4),
+                    (67, 56, 2), (131, 66, 2), (179, 90, 2), (251, 126, 3)]
 
 
 def test_gfp_kernel_raises_beyond_its_int64_bound():
