@@ -50,11 +50,17 @@ class DiskCache:
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        except OSError:
+            return
+        try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except OSError:
-            pass
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 _UNSET = object()

@@ -340,41 +340,66 @@ def _json(value, indent):
     ensure_ascii=True), tuples written as lists.
 
     CPython's C encoder does not run with `indent`, and its pure-Python one
-    yields a chunk per item.  Here a list or tuple of plain ints (not bools),
-    or of strs, is one C-level join; that covers the witnesses' long exponent
-    lists.  Keys must be strs and floats are refused: `as_doc` makes neither.
+    yields a chunk per item.  Here the text is collected as one list of parts
+    and joined once, so no byte is copied once per nesting level, and a list
+    or tuple of plain ints (not bools), or of strs, is one C-level join; that
+    covers the witnesses' long exponent lists.  A container met again at the
+    same indent repeats the parts already written for that object: a lift
+    witness is one dict shared by every class of its weight.  Keys must be
+    strs and floats are refused: `as_doc` makes neither.
     """
+    out = []
+    _emit(value, indent, out, {})
+    return "".join(out)
+
+
+def _emit(value, indent, out, done):
+    """Append the parts of `_json(value, indent)` to `out`.  `done` maps the
+    (id, indent) of each container written so far to its slice of `out`; the
+    document outlives the call, so no id is reused."""
     if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # _encode_str raises TypeError on a key that is not a str
-        body = sep.join(f"{_encode_str(key)}: {_json(value[key], inner)}"
-                        for key in sorted(value))
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        types = set(map(type, value))
-        if types == {int}:
-            body = sep.join(map(int.__repr__, value))
-        elif types == {str}:
-            body = sep.join(map(_encode_str, value))
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"{type(value).__name__} has no canonical JSON form")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif (id(value), indent) in done:
+        start, end = done[id(value), indent]
+        out.extend(out[start:end])
+    else:
+        start = len(out)
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            lead = "{\n" + inner
+            for key in sorted(value):
+                # _encode_str raises TypeError on a key that is not a str
+                out.append(f"{lead}{_encode_str(key)}: ")
+                _emit(value[key], inner, out, done)
+                lead = sep
+            out.append(f"\n{indent}}}")
         else:
-            body = sep.join([_json(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    raise TypeError(f"{type(value).__name__} has no canonical JSON form")
+            types = set(map(type, value))
+            if types == {int}:
+                out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{indent}]")
+            elif types == {str}:
+                out.append(f"[\n{inner}{sep.join(map(_encode_str, value))}\n{indent}]")
+            else:
+                lead = "[\n" + inner
+                for item in value:
+                    out.append(lead)
+                    _emit(item, inner, out, done)
+                    lead = sep
+                out.append(f"\n{indent}]")
+        done[id(value), indent] = (start, len(out))
 
 
 def _canonical_json(doc):

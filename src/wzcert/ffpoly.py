@@ -12,7 +12,7 @@ splitting elements are enumerated systematically rather than sampled.
 
 import numpy as np
 
-from .cache import memo
+from .cache import get_cache, memo
 from .primes import is_prime
 
 
@@ -554,6 +554,38 @@ def _rootless(C, p):
     return keep
 
 
+def _first_irreducible(C, p, d):
+    """The first monic f = x^d + sum_j C[n, j] x^j, in row order, that is
+    irreducible over GF(p), as int coefficients; None if there is none.
+
+    x^(p^s) mod f comes from the Frobenius matrices of the whole block.  f is
+    irreducible exactly when x^(p^d) = x and gcd(x^(p^(d/r)) - x, f) = 1 for
+    every prime r | d (Rabin, "Probabilistic algorithms in finite fields",
+    1980); the gcds are exact.
+    """
+    F = PrimeField(p)
+    x = (0, 1)
+    tops = [d // r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
+    _Q, H = _frobenius(C, p, d)
+    for n in np.flatnonzero((H[:, d] == H[:, 0]).all(axis=1)):
+        f = tuple(C[n].tolist()) + (1,)
+        if all(pgcd(F, psub(F, ptrim(F, H[n, s].tolist()), x), f) == (1,)
+               for s in tops):
+            return f
+    return None
+
+
+def _stored_modulus(value, p, d):
+    """`value`, read from the disk cache, as a modulus: a list of d+1 ints in
+    [0, p), monic, with c_0 != 0 and irreducible by `_first_irreducible`;
+    else None."""
+    if (not isinstance(value, list) or len(value) != d + 1
+            or any(type(c) is not int or not 0 <= c < p for c in value)
+            or value[d] != 1 or value[0] == 0):
+        return None
+    return _first_irreducible(np.array([value[:d]], dtype=np.int64), p, d)
+
+
 @memo()
 def canonical_modulus(p, d):
     """Lex-least monic irreducible of degree d over GF(p), as int coefficients.
@@ -561,21 +593,25 @@ def canonical_modulus(p, d):
     Coefficient tuples (c_{d-1}, ..., c_0) are compared most-significant first,
     which is the ascending order of the integer t = sum(c_j p^j).  Candidates
     are searched in blocks of consecutive t.  Those with c_0 = 0 or a root in
-    GF(p) are dropped; for the rest, x^(p^s) mod f comes from their Frobenius
-    matrices.  The first candidate in order with x^(p^d) = x and
-    gcd(x^(p^(d/r)) - x, f) = 1 for every prime r | d is irreducible (Rabin,
-    "Probabilistic algorithms in finite fields", 1980); the gcds are exact.
+    GF(p) are dropped; the first of the rest that `_first_irreducible` accepts
+    is the modulus.
+
+    The result is kept in the disk cache's `modulus` namespace.  A stored entry
+    is served only if it passes the same irreducibility test, so it always
+    defines the field GF(p^d); that it is the lex-least one is trusted to the
+    cache.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d == 1:
         return (0, 1)
     check_int64(p, 2 * d - 1, "canonical_modulus")
-    F = PrimeField(p)
-    x = (0, 1)
-    tops = [d // r for r in range(2, d + 1) if d % r == 0 and is_prime(r)]
+    disk = get_cache()
+    found = _stored_modulus(disk.get("modulus", (p, d)), p, d)
+    if found is not None:
+        return found
     start = 0
-    while True:
+    while found is None:
         t = np.arange(start, start + _SEARCH_BLOCK, dtype=np.int64)
         start += _SEARCH_BLOCK
         C = np.zeros((t.size, d), dtype=np.int64)
@@ -585,14 +621,10 @@ def canonical_modulus(p, d):
             C[:, j] = t // p**j % p
         C = C[C[:, 0] != 0]
         C = C[_rootless(C, p)]
-        if not C.size:
-            continue
-        _Q, H = _frobenius(C, p, d)
-        for n in np.flatnonzero((H[:, d] == H[:, 0]).all(axis=1)):
-            f = tuple(C[n].tolist()) + (1,)
-            if all(pgcd(F, psub(F, ptrim(F, H[n, s].tolist()), x), f) == (1,)
-                   for s in tops):
-                return f
+        if C.size:
+            found = _first_irreducible(C, p, d)
+    disk.put("modulus", (p, d), list(found))
+    return found
 
 
 @memo()

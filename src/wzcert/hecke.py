@@ -82,7 +82,15 @@ def exact_ap_dim1(k: int, p: int) -> int:
         raise ValueError(f"dim S_{k} = {dim_cusp(k)}, not 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return miller_basis(k, p + 2).forms[0].coeff(p)
+    # the least power of two above p + 1
+    return _dim1_form(k, 1 << (p + 1).bit_length()).coeff(p)
+
+
+@memo()
+def _dim1_form(k, prec):
+    """The exact normalized form of a 1-dim S_k to precision prec: one form,
+    whatever p, whose truncations are its prefixes."""
+    return miller_basis(k, prec).forms[0]
 
 
 def tp_det_modp(p: int, k: int) -> int:

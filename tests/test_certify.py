@@ -227,6 +227,17 @@ def test_canonical_json_matches_the_stdlib_encoder():
         doc = random_doc(random.Random(seed))
         want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
         assert cf._canonical_json(doc) == want, seed
+    # one dict object twice at one depth and once at another: a text reused by
+    # identity must be the text for that depth, and only within one call
+    for seed in range(100):
+        rng = random.Random(seed)
+        shared = {"w": random_doc(rng), "n": [random_doc(rng, 3)]}
+        for doc in ({"a": [shared, shared], "b": [[shared]]},
+                    [shared, {"x": shared}, (shared,)]):
+            for _ in range(2):
+                want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+                assert cf._canonical_json(doc) == want, seed
+                shared["n"].append(seed)
     for value in (1.5, [1, 2, 3.0], {"a": {1: 2}}, {"a": [{"b"}]}, {"x"}):
         with pytest.raises(TypeError):
             cf._canonical_json(value)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -43,6 +44,22 @@ def test_exact_ap_dim1():
     assert hecke.exact_ap_dim1(12, 2) == -24
     with pytest.raises(ValueError):
         hecke.exact_ap_dim1(24, 5)
+
+
+def test_exact_ap_dim1_is_ramanujan_tau():
+    tau = {7: -16744, 11: 534612, 13: -577738, 17: -6905934, 19: 10661420,
+           23: 18643272}
+    assert {p: hecke.exact_ap_dim1(12, p) for p in tau} == tau
+
+
+def test_exact_ap_dim1_across_power_of_two_precisions():
+    # each pair of primes lies on both sides of a step of the series' precision
+    weights = [k for k in range(12, 40, 2) if dim_cusp(k) == 1]
+    assert weights == [12, 16, 18, 20, 22, 26]
+    for p in (61, 67, 127, 131, 251, 257):
+        for k in weights:
+            want = qseries.miller_basis(k, p + 2).forms[0].coeff(p)
+            assert hecke.exact_ap_dim1(k, p) == want, (p, k)
 
 
 def test_eigensystems_107_26():
@@ -168,9 +185,10 @@ def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
     cache.set_cache(DiskCache(str(tmp_path)))   # empty: every layer computes
     try:
         hecke.eigensystems(41, 24, 13)
+        hecke.exact_ap_dim1(12, 41)
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
-    memos = [hecke._basis_rows, hecke._raw_classes, hecke._systems,
+    memos = [hecke._basis_rows, hecke._raw_classes, hecke._systems, hecke._dim1_form,
              ffpoly.canonical_modulus, ffpoly.canonical_field, ffpoly.embed_root,
              qseries._tables]
     assert all(m in cache._memos for m in memos)
@@ -287,6 +305,79 @@ def _served_after_planting(disk, namespace, key, bad, compute):
     disk.put(namespace, key, bad)
     cache.clear_memos()
     return compute()
+
+
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
+    disk = DiskCache(str(tmp_path))
+    real_fdopen = os.fdopen
+
+    def refuse(*args):
+        raise OSError("refused")
+
+    def read_only(fd, *args, **kwargs):     # the write then raises an OSError
+        return real_fdopen(fd, "r")
+
+    for name, fake in (("replace", refuse), ("fdopen", read_only)):
+        with monkeypatch.context() as patched:
+            patched.setattr(cache.os, name, fake)
+            disk.put("modulus", (7, 2), [3, 6, 1])
+        assert os.listdir(tmp_path / "modulus") == [], name
+    disk.put("modulus", (7, 2), [3, 6, 1])
+    assert os.listdir(tmp_path / "modulus") == ["7_2.json"]
+
+
+def test_modulus_entry_that_is_not_a_field_is_a_miss(tmp_path, isolated_cache):
+    key = (7, 4)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = ffpoly.canonical_modulus(*key)
+        good = disk.get("modulus", key)
+        assert good == list(fresh)
+        # (x^2 + 1)(x^2 + x + 3): both quadratics are irreducible over GF(7), so
+        # the quartic has no root, and x^(7^4) = x holds mod it; the gcd decides
+        quartic = [3, 1, 4, 1, 1]
+        assert all(sum(c * x**j for j, c in enumerate(quartic)) % 7 for x in range(7))
+        for bad in ({"0": 3}, "x", good[1:], good + [0], [float(c) for c in good],
+                    [str(c) for c in good], good[:-1] + [True],
+                    [good[0] + 7] + good[1:], good[:-1] + [2], [0] + good[1:],
+                    quartic):
+            assert _served_after_planting(
+                disk, "modulus", key, bad, lambda: ffpoly.canonical_modulus(*key)) == fresh
+            assert disk.get("modulus", key) == good
+        # another irreducible quartic defines the field too and is served: the
+        # load check guarantees a field, the lex-least choice is trusted
+        other = [3, 0, 0, 1, 1]
+        assert _served_after_planting(
+            disk, "modulus", key, other, lambda: ffpoly.canonical_modulus(*key)) == tuple(other)
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_canonical_modulus_validates_before_it_reads_or_writes(tmp_path, isolated_cache):
+    cache.set_cache(DiskCache(str(tmp_path)))
+    try:
+        cache.clear_memos()
+        for args in ((9, 2), (2**31 - 1, 2)):
+            with pytest.raises(ValueError):
+                ffpoly.canonical_modulus(*args)
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_certificate_from_an_empty_cache_equals_the_warm_one(tmp_path, isolated_cache):
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        cold = cf.emit_certificate(cf.certify(179, "ordinary"))
+        assert disk.get("modulus", (179, 2)) == list(ffpoly.canonical_modulus(179, 2))
+        cache.clear_memos()
+        assert cf.emit_certificate(cf.certify(179, "ordinary")) == cold
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
 
 
 def test_eigsys_entry_that_drops_classes_is_a_miss(tmp_path, isolated_cache):
