@@ -17,7 +17,7 @@ from math import gcd
 from . import TOOL_VERSION, galoischecks
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
-from .hecke import default_bound, eigensystems, exact_ap_dim1
+from .hecke import default_bound, eigensystems, exact_ap_dim1, witness_primes
 from .ordscan import nonordinary_weights
 from .primes import is_prime, primes_up_to
 from .qseries import dim_cusp
@@ -96,11 +96,11 @@ def _companion_matches(p, B):
     the primes l <= B, so classes computed to a larger bound share the entry
     of the class they restrict to.
     """
-    ells = [ell for ell in primes_up_to(B) if ell != p]
+    ells = witness_primes(p, B)
     found = {}
 
     def match(k, sys):
-        key = (k, sys.d, tuple(sys.values[ell].coeffs for ell in ells))
+        key = (k, sys.d, tuple(sys.values[ell] for ell in ells))
         if key not in found:
             found[key] = galoischecks.companion_match(p, k, sys, B)
         return found[key]
@@ -144,9 +144,10 @@ def _split_pair_survey(p, B, match):
 def _bounds(B_use, B_img):
     """The certificate's bounds record: B_use is the bound the eigen systems
     are computed to, B_img the image bound."""
-    # certificate format v1 keeps two constant fields: the default bound is
-    # already the Sturm-scale one ("strict"), and every class is computed in
-    # full, whatever its degree ("ext_degree_cap")
+    # certificate format v1 keeps two constant fields: no bound stricter than
+    # `default_bound`, about the Sturm bound of weight p+1, is applied
+    # ("strict"), and every class is computed in full, whatever its degree
+    # ("ext_degree_cap")
     return {"B": B_use, "B_img": B_img, "strict": False,
             "ext_degree_cap": "max(8, dim)"}
 

@@ -1,9 +1,10 @@
-"""The eigenvalue type: an element of the canonical field GF(p^d), stored as
-its coordinates.
+"""The coordinate check of a cached eigenvalue.
 
-Arithmetic on these values is done in `ffpoly.canonical_field(p, d)` on raw
-field elements; this type only carries validated coordinates between the
-eigen system computation, the disk cache and the certificates.
+Eigenvalues are elements of `ffpoly.canonical_field(p, d)` from the
+decomposition to the certificates: ints for d = 1, coordinate tuples for
+d > 1.  The one place they come from outside the program is an `eigsys`
+entry of the disk cache, whose decoder checks each value's coordinates by
+building this type before any field is built.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ExtFieldElem:
-    """An element of the canonical field GF(p^d), d >= 1.
+    """The coordinates of an element of the canonical field GF(p^d), d >= 1.
 
     `coeffs` are the d coordinates, each in [0, p), in the power basis of the
     generator of `ffpoly.canonical_field(p, d)` (for d = 1, the residue).
@@ -28,6 +29,3 @@ class ExtFieldElem:
             raise ValueError("coefficient vector has wrong length")
         if not all(0 <= c < self.p for c in self.coeffs):
             raise ValueError("coordinates must lie in [0, p)")
-
-    def is_zero(self):
-        return not any(self.coeffs)

@@ -1,34 +1,12 @@
-"""Small exact linear algebra over finite fields: determinants, characteristic
-polynomials, nullspaces, and coordinate solving.  Matrices are lists of rows of
-field elements; all pivot choices are deterministic so outputs are canonical.
-Kernels of polynomials in a GF(p) matrix run on int64 arrays.
+"""Small exact linear algebra over finite fields: characteristic polynomials,
+echelon forms, nullspaces, and coordinate solving.  Matrices are lists of
+rows of field elements; all pivot choices are deterministic so outputs are
+canonical.  Kernels of polynomials in a GF(p) matrix run on int64 arrays.
 """
 
 import numpy as np
 
 from .ffpoly import check_int64, pmul, pscale, psub
-
-
-def mat_det(F, M):
-    n = len(M)
-    if n == 0:
-        return F.one
-    A = [list(r) for r in M]
-    det = F.one
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != F.zero), None)
-        if piv is None:
-            return F.zero
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = F.neg(det)
-        det = F.mul(det, A[c][c])
-        inv = F.inv(A[c][c])
-        for r in range(c + 1, n):
-            f = F.mul(A[r][c], inv)
-            if f != F.zero:
-                A[r] = [F.sub(u, F.mul(f, v)) for u, v in zip(A[r], A[c])]
-    return det
 
 
 def mat_charpoly(F, M):

@@ -17,10 +17,8 @@ from math import gcd
 
 import numpy as np
 
-from . import ffpoly
 from .cache import memo
-from .hecke import default_bound, eigensystems
-from .primes import primes_up_to
+from .hecke import default_bound, eigensystems, witness_primes
 from .qseries import dim_cusp
 
 PASS = "PASS"
@@ -58,7 +56,7 @@ def companion_match(p: int, k: int, fsys, B: int):
     if kk < 12 or dim_cusp(kk) == 0:
         return None
     e = companion_exponent(p, k)
-    ells = [ell for ell in primes_up_to(min(B, fsys.B)) if ell != p]
+    ells = witness_primes(p, min(B, fsys.B))
     for gsys in eigensystems(p, kk, B):
         j = _twisted_equal(p, e, fsys, gsys, ells)
         if j is not None:
@@ -75,11 +73,10 @@ def _twisted_equal(p, e, fsys, gsys, ells):
     """
     if fsys.d != gsys.d:
         return None
-    K = ffpoly.canonical_field(p, fsys.d)
-    fvals = {ell: K.from_coords(fsys.values[ell].coeffs) for ell in ells}
-    gvals = {ell: K.from_coords(gsys.values[ell].coeffs) for ell in ells}
+    K = fsys.field
+    gvals = {ell: gsys.values[ell] for ell in ells}
     for j in range(fsys.d):
-        if all(fvals[ell] == K.mul(K.from_int(pow(ell, e, p)), gvals[ell])
+        if all(fsys.values[ell] == K.mul(K.from_int(pow(ell, e, p)), gvals[ell])
                for ell in ells):
             return j
         gvals = {ell: K.frob(v) for ell, v in gvals.items()}
@@ -125,9 +122,9 @@ def split_verdict(p: int, k: int, fsys, B: int, found) -> CheckVerdict:
 
 @memo(64)
 def _powers(p, bound):
-    """(ells, P): the primes l <= bound, l != p, and the read-only int64 array
-    P[i, a] = l_i^a mod p for 0 <= a < p-1."""
-    ells = [ell for ell in primes_up_to(bound) if ell != p]
+    """(ells, P): ells = witness_primes(p, bound), and the read-only int64
+    array P[i, a] = l_i^a mod p for 0 <= a < p-1."""
+    ells = witness_primes(p, bound)
     P = np.array([[pow(ell, a, p) for a in range(p - 1)] for ell in ells],
                  dtype=np.int64).reshape(len(ells), p - 1)
     P.flags.writeable = False
@@ -142,7 +139,7 @@ def ord_irreducible(p: int, k: int, fsys, B_img: int) -> CheckVerdict:
     ells, P = _powers(p, bound)
     expected = (P + P[:, (k - 1 - np.arange(p - 1)) % (p - 1)]) % p     # ell x split a
     # a value outside GF(p), written -1 here, equals no residue
-    coords = [fsys.values[ell].coeffs for ell in ells]
+    coords = [fsys.field.coords(fsys.values[ell]) for ell in ells]
     residues = np.array([c[0] if not any(c[1:]) else -1 for c in coords], dtype=np.int64)
     differs = expected != residues[:, None]
     hit = differs.any(axis=0)
@@ -168,16 +165,17 @@ def not_dihedral_ordinary(p: int, fsys, B_img: int) -> CheckVerdict:
     if p <= 5:
         raise ValueError("p must exceed 5")
     p_star = p if p % 4 == 1 else -p
+    K = fsys.field
     tested = []
-    for ell in [x for x in primes_up_to(min(B_img, fsys.B)) if x != p]:
+    for ell in witness_primes(p, min(B_img, fsys.B)):
         if pow(ell, (p - 1) // 2, p) != p - 1:
             continue
         tested.append(ell)
-        if not fsys.values[ell].is_zero():
+        if fsys.values[ell] != K.zero:
             return CheckVerdict("image_not_dihedral", PASS, {
                 "witness_ell": ell,
                 "legendre": -1,
-                "a_ell": [str(c) for c in fsys.values[ell].coeffs],
+                "a_ell": [str(c) for c in K.coords(fsys.values[ell])],
                 "p_star": p_star,
             })
     return CheckVerdict("image_not_dihedral", INCONCLUSIVE, {
@@ -190,10 +188,10 @@ def not_dihedral_ordinary(p: int, fsys, B_img: int) -> CheckVerdict:
 def not_exceptional_trace(p: int, k: int, fsys, B_img: int) -> CheckVerdict:
     """A projective trace invariant u = a_l^2 l^(1-k) outside the order-<=5
     locus {0, 1, 2, 4, roots of u^2-3u+1} witnesses non-exceptional image."""
-    K = ffpoly.canonical_field(p, fsys.d)
+    K = fsys.field
     small = [K.from_int(c) for c in (0, 1, 2, 4)]
-    for ell in [x for x in primes_up_to(min(B_img, fsys.B)) if x != p]:
-        a = K.from_coords(fsys.values[ell].coeffs)
+    for ell in witness_primes(p, min(B_img, fsys.B)):
+        a = fsys.values[ell]
         u = K.mul(K.mul(a, a), K.from_int(pow(ell, -(k - 1), p)))
         if u in small:
             continue

@@ -13,10 +13,12 @@ a_ell and a_p are read off the normalized eigenform expansion at precision
 p+1.  A class is recorded in the canonical field through the matrix of the
 field map, whose rows are the powers of the lex-least root of g there
 (`ffpoly.embed_root`, found with GF(p) arithmetic only): all of its values
-and a_p are one int64 product with that matrix.  The full T_p matrix (which
-needs dim-times-larger precision) is kept only as a determinant oracle.
+and a_p are one int64 product with that matrix, and stay elements of that
+field through the checks.  The full T_p matrix, which needs dim-times-larger
+precision, is never built.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from math import gcd as _gcd
 
@@ -26,54 +28,24 @@ from . import cache as diskcache
 from . import ffpoly
 from .cache import memo
 from .exactarith import ExtFieldElem
-from .fflinalg import (mat_charpoly, mat_det, mat_lift, mat_nullspace, poly_kernel_modp,
-                       rref, solve_in_span)
+from .fflinalg import (mat_charpoly, mat_lift, mat_nullspace, poly_kernel_modp, rref,
+                       solve_in_span)
 from .primes import is_prime, primes_up_to
-from .qseries import PrecisionError, dim_cusp, miller_basis
+from .qseries import dim_cusp, miller_basis
 
 
 def default_bound(p: int) -> int:
-    """Eigenvalue bound B: Sturm-scale for cross-weight matching, never below 13."""
+    """Eigenvalue bound B = max(13, (p+1)//12 + 2), about the Sturm bound of
+    weight p+1.  The congruences checked to B, such as a companion match, are
+    congruences of forms of larger weight: B bounds their search and does not
+    prove them."""
     return max(13, (p + 1) // 12 + 2)
 
 
-@dataclass(frozen=True)
-class HeckeMatrix:
-    """Matrix of T_m on the Miller basis of S_k; entries[i][j] = a_{i+1}(T_m B_{j+1})."""
-
-    k: int
-    m: int
-    ring: int | None
-    entries: tuple
-
-
-def hecke_coeff(f, m: int, n: int):
-    """a_n(T_m f) for a weight-tagged series f covering index m*n."""
-    if f.prec <= m * n:
-        raise PrecisionError(f"need coefficient {m * n}, have precision {f.prec}")
-    k = f.weight
-    g = _gcd(m, n)
-    total = 0
-    for r in range(1, g + 1):
-        if g % r:
-            continue
-        if f.ring is None:
-            total += r**(k - 1) * f.coeffs[m * n // (r * r)]
-        else:
-            total += pow(r, k - 1, f.ring) * f.coeffs[m * n // (r * r)]
-    return total if f.ring is None else total % f.ring
-
-
-def hecke_matrix(k: int, m: int, ring: int | None = None) -> HeckeMatrix:
-    """Matrix of T_m on S_k in the Miller basis (0x0 when the space is trivial)."""
-    d = dim_cusp(k)
-    if d == 0:
-        return HeckeMatrix(k, m, ring, ())
-    basis = miller_basis(k, m * d + 2, ring)
-    entries = tuple(
-        tuple(hecke_coeff(basis.forms[j], m, i) for j in range(d))
-        for i in range(1, d + 1))
-    return HeckeMatrix(k, m, ring, entries)
+@memo()
+def witness_primes(p: int, B: int) -> tuple:
+    """The primes ell <= B, ell != p: the keys of an eigen system's values."""
+    return tuple(filter(p.__ne__, primes_up_to(B)))
 
 
 def exact_ap_dim1(k: int, p: int) -> int:
@@ -91,20 +63,6 @@ def _dim1_form(k, prec):
     """The exact normalized form of a 1-dim S_k to precision prec: one form,
     whatever p, whose truncations are its prefixes."""
     return miller_basis(k, prec).forms[0]
-
-
-def tp_det_modp(p: int, k: int) -> int:
-    """det(T_p mod p) on S_k: zero exactly when some eigen system has a_p = 0.
-
-    Needs basis precision p*dim + 2, so this is a testing oracle for the cheap
-    eigenvector-based a_p extraction, not a scan workhorse.
-    """
-    d = dim_cusp(k)
-    if d == 0:
-        return 1
-    rows = _basis_rows(p, k, p * d + 2)
-    M = _op_matrix(rows, k, p, p)
-    return mat_det(ffpoly.canonical_field(p, 1), M)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +94,10 @@ def _op_matrix(rows, k, m, p):
 class EigenSystem:
     """A Galois-conjugacy class of mod-p Hecke eigen systems on S_k.
 
-    values maps primes ell <= B (ell != p) to elements of the canonical value
-    field of degree d; ap is the q^p coefficient of the normalized eigenform.
+    values maps the primes `witness_primes(p, B)` to elements of the
+    canonical value field `field` = GF(p^d) (ints for d = 1, coordinate
+    tuples for d > 1); ap, in that field too, is the q^p coefficient of the
+    normalized eigenform.
 
     Conjugate rule: of the d Frobenius conjugates of the class, the one
     recorded has the packet (a_2, a_3, a_5, ...) that is lex-least, comparing
@@ -155,16 +115,20 @@ class EigenSystem:
     mult: int
     semisimple_action: bool
     B: int
+    field: object = dataclasses.field(init=False, repr=False, compare=False)
     # every class is computed in full, so nothing overflows; certificate
     # format v1 still records "overflow": false in each system
     overflow = False
 
+    def __post_init__(self):
+        self.field = ffpoly.canonical_field(self.p, self.d)
+
     @property
     def ordinary(self):
-        return not self.ap.is_zero()
+        return self.ap != self.field.zero
 
     def as_doc(self):
-        coords = lambda e: [str(c) for c in e.coeffs]
+        coords = lambda e: [str(c) for c in self.field.coords(e)]
         return {
             "d": self.d,
             "mult": self.mult,
@@ -209,7 +173,7 @@ def _raw_classes(p, k, B):
     Fp = ffpoly.canonical_field(p, 1)
     prec0 = max(p + 2, 2 * d + 2, B + 2)
     rows0 = _basis_rows(p, k, prec0)
-    ells = [ell for ell in primes_up_to(B) if ell != p]
+    ells = witness_primes(p, B)
     M2 = _op_matrix(rows0, k, 2, p)
     leaves = []
     for g, _mult in ffpoly.factor_monic(Fp, mat_charpoly(Fp, M2)):
@@ -321,8 +285,8 @@ def _leaf_class(p, k, K, space, path, B, prec0):
                               "which no Hecke-stable space can have")
     inv0 = K.inv(pick[0])
     v = [K.mul(inv0, x) for x in pick]
-    ells = [ell for ell in primes_up_to(B) if ell != p]
-    *coeffs, ap = _coefficients(p, rows, K, v, ells + [p])
+    ells = witness_primes(p, B)
+    *coeffs, ap = _coefficients(p, rows, K, v, ells + (p,))
     values = dict(zip(ells, coeffs))
     return _RawClass(K, values, ap, len(space), path, v)
 
@@ -386,28 +350,31 @@ def _canonical_map(p, raw):
 
 
 def _canonical_system(p, k, raw, B, semisimple):
-    D = raw.field.degree
     M, K_can = _canonical_map(p, raw)
     ells = sorted(raw.values)
     *images, ap = _apply(M, K_can, [raw.values[ell] for ell in ells] + [raw.ap])
-    wrap = lambda x: ExtFieldElem(p, D, K_can.coords(x))
-    values = {ell: wrap(v) for ell, v in zip(ells, images)}
-    return EigenSystem(p, k, D, values, wrap(ap), raw.mult, semisimple, B)
+    return EigenSystem(p, k, K_can.degree, dict(zip(ells, images)), ap, raw.mult,
+                       semisimple, B)
 
 
-def _system_from_doc(p, k, B, doc):
-    """Decode a cached eigen system; raises ValueError, KeyError or TypeError
-    when the entry does not have the shape `as_doc` writes for (p, k, B)."""
+def _system_from_doc(p, B, doc):
+    """(d, mult, ss, value coordinates, a_p coordinates) of one cached eigen
+    system, each coordinate tuple checked to lie in GF(p^d); raises
+    ValueError, KeyError or TypeError when the entry does not have the shape
+    `as_doc` writes for (p, B).  No field is built here: a corrupt d never
+    reaches `ffpoly.canonical_field`."""
     d = doc["d"]
-    ells = [ell for ell in primes_up_to(B) if ell != p]
+    ells = witness_primes(p, B)
     if set(doc["values"]) != {str(ell) for ell in ells}:
         raise ValueError("cached eigen values are not keyed by the primes <= B")
 
-    def elem(coords):
-        return ExtFieldElem(p, d, tuple(int(c) for c in coords))
+    def coords(raw):
+        c = tuple(int(x) for x in raw)
+        ExtFieldElem(p, d, c)       # raises unless d >= 1 and c has d residues
+        return c
 
-    values = {ell: elem(doc["values"][str(ell)]) for ell in ells}
-    return EigenSystem(p, k, d, values, elem(doc["ap"]), doc["mult"], doc["ss"], B)
+    values = [coords(doc["values"][str(ell)]) for ell in ells]
+    return d, doc["mult"], doc["ss"], values, coords(doc["ap"])
 
 
 def _fits(k, classes, semisimple):
@@ -450,10 +417,10 @@ def _systems(p, k, B):
     doc = dc.get("eigsys", key)
     if doc is not None:
         try:
-            systems = [_system_from_doc(p, k, B, item) for item in doc]
-            if _fits(k, [(s.d, s.mult) for s in systems],
-                     any(s.semisimple_action for s in systems)):
-                return systems
+            items = [_system_from_doc(p, B, item) for item in doc]
+            if _fits(k, [(d, mult) for d, mult, *_ in items],
+                     any(ss for _d, _m, ss, *_ in items)):
+                return [_decoded_system(p, k, B, *item) for item in items]
         except (KeyError, TypeError, ValueError):
             pass
         # malformed entry, or one that drops classes: recompute and overwrite it
@@ -461,6 +428,14 @@ def _systems(p, k, B):
     systems = [_canonical_system(p, k, r, B, semisimple) for r in raw]
     dc.put("eigsys", key, [s.as_doc() for s in systems])
     return systems
+
+
+def _decoded_system(p, k, B, d, mult, ss, values, ap):
+    """The EigenSystem of checked coordinates from `_system_from_doc`."""
+    K = ffpoly.canonical_field(p, d)
+    return EigenSystem(p, k, d, {ell: K.from_coords(c) for ell, c in
+                                 zip(witness_primes(p, B), values)},
+                       K.from_coords(ap), mult, ss, B)
 
 
 def _profile_from_doc(k, doc):

@@ -68,14 +68,6 @@ def _reduced(X, p):
     return X if p is None else X % p
 
 
-def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Truncated product; weights add, precision is the minimum of the two."""
-    if f.ring != g.ring:
-        raise ValueError("ring mismatch")
-    coeffs = _conv(f.coeffs, g.coeffs, min(f.prec, g.prec), f.ring)
-    return PowerSeries(f.ring, f.weight + g.weight, tuple(coeffs))
-
-
 def _sigma_list(power, n):
     """[sigma_power(m) for m < n] by sieve; sigma(0) slot is 0."""
     s = [0] * n

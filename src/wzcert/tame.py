@@ -118,14 +118,6 @@ def type_equal(T1: InertialType, T2: InertialType) -> bool:
     return T1.level1 == T2.level1 and T1.level2 == T2.level2
 
 
-def rho_pm_independent(p: int, m: int) -> bool:
-    """Whether the reduction with parameter m agrees with the m = 1 reduction;
-    true whenever gcd(m, p+1) = 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return type_equal(rho_nm_inertial(p, p, m), rho_nm_inertial(p, p, 1))
-
-
 @dataclass(frozen=True)
 class LiftCheckResult:
     """Outcome of a weight-zero tame-shape comparison.

@@ -14,13 +14,16 @@ import json
 import os
 import random
 import time
-from math import gcd
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
 from wzcert import cache, certify as cf, ffpoly, hecke, qseries, tame
 from wzcert.cache import DiskCache
 from wzcert.primes import primes_up_to
+
+import oracles
 
 
 def announce(n, ok, detail=""):
@@ -183,6 +186,41 @@ def test_criterion_5_scan_lists(scan_runs):
     assert not ineligible, f"gcd-ineligible ordinary candidates at p in {ineligible}"
 
 
+def _bernoulli_numbers(n):
+    """[B_0, ..., B_n], exact, from sum_{j <= m} C(m+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+def test_eisenstein_fails_are_the_gcd_eligible_irregular_pairs(scan_runs):
+    """Kummer and Ribet: p divides the numerator of B_k (12 <= k <= p-3)
+    exactly when some eigenform of weight k is congruent to E_k mod p, and
+    then its reducibility check fails (Ribet, Invent. Math. 34, 1976).  The
+    ordinary candidates are the gcd-eligible weights, so the image_irreducible
+    FAILs of the scan to 180 are its gcd-eligible irregular pairs, one class
+    each."""
+    report = scan_runs["a"]["ord"]
+    B = _bernoulli_numbers(report.pmax + 2)
+    irregular = [(p, k) for p in primes_up_to(report.pmax) if p > 5
+                 for k in range(12, p - 2, 2) if B[k].numerator % p == 0]
+    eligible = [(p, k) for p, k in irregular if gcd(k - 1, p - 1) == 1]
+    fails = []
+    for cert in report.certificates:
+        for cand in cert.candidates:
+            image = next(c for c in cand["checks"] if c["id"] == "image_large")
+            fails += [(cert.p, cand["k"]) for c in image["witness"]["constituents"]
+                      if c["id"] == "image_irreducible" and c["verdict"] == "FAIL"]
+    assert eligible == [(37, 32), (59, 44), (101, 68), (103, 24), (131, 22),
+                        (149, 130), (157, 62), (157, 110)]
+    assert sorted(fails) == eligible
+    # 67 | B_58, but gcd(57, 66) = 3: the weight is no candidate
+    assert sorted(set(irregular) - set(eligible)) == [(67, 58)]
+    cert67 = next(c for c in report.certificates if c.p == 67)
+    assert 58 not in [cand["k"] for cand in cert67.candidates]
+
+
 def test_criterion_6_certify_nonordinary_59():
     t0 = time.time()
     cert = cf.certify_nonordinary(59)
@@ -218,7 +256,7 @@ def test_criterion_7_tame_property_suite():
     for p in [q for q in primes_up_to(200) if q > 5]:
         for m in range(1, 21):
             if gcd(m, p + 1) == 1:
-                assert tame.rho_pm_independent(p, m), (p, m)
+                assert oracles.rho_pm_independent(p, m), (p, m)
     # twist equivariance and exponent-sum determinant on random inputs
     rng = random.Random(20260811)
     for _ in range(10000):
@@ -249,7 +287,7 @@ def test_criterion_8_hecke_property_suite():
     for k in range(12, 62, 2):
         if qseries.dim_cusp(k) == 0:
             continue
-        mats = [hecke.hecke_matrix(k, m).entries for m in (2, 3, 5, 7)]
+        mats = [oracles.hecke_matrix(k, m).entries for m in (2, 3, 5, 7)]
 
         def mul(A, B):
             n = len(A)
@@ -266,7 +304,7 @@ def test_criterion_8_hecke_property_suite():
             if qseries.dim_cusp(k) == 0:
                 continue
             prof = hecke.ap_profile(p, k)
-            assert any(z for _d, z, _m in prof) == (hecke.tp_det_modp(p, k) == 0), (p, k)
+            assert any(z for _d, z, _m in prof) == (oracles.tp_det_modp(p, k) == 0), (p, k)
             for block in hecke.expansions(p, k, 7):
                 if block["coeffs"] is None:
                     continue
@@ -274,8 +312,8 @@ def test_criterion_8_hecke_property_suite():
                 c = [K.from_coords(t) for t in block["coeffs"]]
                 assert K.mul(c[2], c[3]) == c[6], (p, k)
             for m in (2, 3, 5, p):
-                exact = hecke.hecke_matrix(k, m).entries
-                modp = hecke.hecke_matrix(k, m, p).entries
+                exact = oracles.hecke_matrix(k, m).entries
+                modp = oracles.hecke_matrix(k, m, p).entries
                 assert tuple(tuple(x % p for x in row) for row in exact) == modp
     elapsed = time.time() - t0
     ok = elapsed <= 600

@@ -1,6 +1,6 @@
 """Every public module-level function and class of wzcert has a caller in the
-program (src/ or bench/), apart from an explicit allowlist of test oracles
-and test seams."""
+program (src/ or bench/), apart from an explicit allowlist of test seams.
+Test oracles live in tests/oracles.py, not in the package."""
 
 import ast
 import pathlib
@@ -10,10 +10,6 @@ PACKAGE = ROOT / "src" / "wzcert"
 
 # name -> why it may have no caller outside tests/
 ALLOWED = {
-    "hecke_matrix": "exact integer T_m oracle for the mod-p Hecke matrices",
-    "tp_det_modp": "det(T_p) oracle for the eigenvector-based a_p",
-    "series_mul": "series product oracle for the Miller basis construction",
-    "rho_pm_independent": "oracle for the p-independence of the rho_{p,m} types",
     "set_cache": "test seam: points the memos at a scratch disk cache",
     "clear_memos": "test seam: empties the in-process memos between runs",
 }

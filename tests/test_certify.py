@@ -74,7 +74,7 @@ def test_certify_ordinary_bimg(monkeypatch):
 
     def spy(p, k, fsys, B):
         bounds.append(B)
-        searched.append((k, fsys.d, [fsys.values[ell].coeffs
+        searched.append((k, fsys.d, [fsys.field.coords(fsys.values[ell])
                                      for ell in (2, 3, 5, 7, 11, 13)]))
         return companion_match(p, k, fsys, B)
 

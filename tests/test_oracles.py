@@ -1,8 +1,9 @@
 """Independent oracles for number-theoretic claims the certifier relies on.
 
-The companion-pair test shares only the exact integer Hecke matrices with
-the program; everything downstream (characteristic polynomials, gcds over
-GF(p)) is computed by sympy.  The kernel tests compare the GF(p)
+The companion-pair test shares only the exact Miller basis with the
+program: the integer Hecke matrices come from the coefficient formula in
+`oracles.py`, and everything downstream (characteristic polynomials, gcds
+over GF(p)) is computed by sympy.  The kernel tests compare the GF(p)
 characteristic polynomial and factorization against sympy on seeded random
 inputs, and the factorization also on the T_2 charpolys at p = 251 and 293.
 sympy is not a dependency of wzcert, so the tests skip where it is
@@ -15,6 +16,8 @@ from math import gcd
 import pytest
 
 from wzcert import ffpoly, fflinalg, hecke, qseries
+
+from oracles import hecke_matrix
 
 P151 = 151
 ELLS = (2, 3, 5, 7)
@@ -31,7 +34,7 @@ def _companion_gcd(sympy, p, k, ell):
     scale = pow(ell, k - 1, p)
 
     def charpoly(weight, c):
-        rows = hecke.hecke_matrix(weight, ell).entries
+        rows = hecke_matrix(weight, ell).entries
         M = sympy.Matrix([[c * a % p for a in row] for row in rows])
         return sympy.Poly(M.charpoly(x).as_expr(), x, modulus=p)
 

@@ -42,7 +42,7 @@ def test_scan_prefix_and_anchors():
 def test_recomputation_confirms_nonordinary():
     for k in nonordinary_weights(59):
         systems = hecke.eigensystems(59, k, 13)
-        assert any(s.ap.is_zero() for s in systems)
+        assert any(not any(s.field.coords(s.ap)) for s in systems)
 
 
 def test_preconditions():

@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 
 from wzcert.tame import (_from_omega2_multiset, lift_check_nonordinary,
-                         lift_check_ordinary, rho_nm_inertial,
-                         rho_pm_independent, sym_level2, sym_ordinary,
-                         type_equal)
+                         lift_check_ordinary, rho_nm_inertial, sym_level2,
+                         sym_ordinary, type_equal)
+
+from oracles import rho_pm_independent
 
 
 def oracle_pairing(p, exps):
