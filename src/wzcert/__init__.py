@@ -9,6 +9,6 @@ __version__ = "0.1.0"
 
 TOOL_VERSION = __version__
 
-# the layout of disk cache entries; bump it whenever an entry computed for the
-# same key would change, so that older entries read as misses
-CACHE_SCHEMA = 2
+# the layout of the disk cache files; bump it whenever it changes or an entry
+# computed for the same key would change, so that older files read as misses
+CACHE_SCHEMA = 3

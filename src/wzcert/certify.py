@@ -15,6 +15,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 
 from . import TOOL_VERSION, galoischecks
+from .cache import persist
 from .galoischecks import (CheckVerdict, FAIL, INCONCLUSIVE, PASS,
                            large_image_verdict, split_verdict)
 from .hecke import default_bound, eigensystems, exact_ap_dim1, witness_primes
@@ -168,6 +169,7 @@ def _candidate(k, n_values, sys, checks):
     }
 
 
+@persist
 def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
     """Certificate for the ordinary split regime at p (targets n = p-1, p-2)."""
     _check_prime(p)
@@ -202,6 +204,7 @@ def certify_ordinary(p: int, B_img: int | None = None) -> Certificate:
                        split_pairs=_split_pair_survey(p, B, match))
 
 
+@persist
 def certify_nonordinary(p: int) -> Certificate:
     """Certificate for the non-ordinary regime at p (target n = p).
 

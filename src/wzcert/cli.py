@@ -11,6 +11,7 @@ import sys
 
 from . import certify as certify_mod
 from . import hecke, qseries, tame
+from .cache import persist
 from .primes import is_prime
 
 
@@ -140,6 +141,7 @@ class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
 
 
+@persist
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -1,8 +1,11 @@
 """Primality testing and prime enumeration (deterministic for word-sized inputs)."""
 
+from .cache import memo
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@memo()
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the fixed base set is exact below 3.3e24."""
     if n < 2:

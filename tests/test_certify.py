@@ -1,5 +1,4 @@
 import json
-import os
 import random
 
 import pytest
@@ -245,22 +244,24 @@ def test_canonical_json_matches_the_stdlib_encoder():
 
 def test_cache_corruption_recovers(isolated_cache):
     first = cf.emit_certificate(cf.certify_nonordinary(59))
-    victims = []
-    for namespace in ("profile", "eigsys"):
-        root = os.path.join(str(isolated_cache), namespace)
-        found = [os.path.join(root, f) for f in os.listdir(root) if f.startswith("59_")]
-        assert found, namespace
-        victims += found
-    for path in victims:
+    path = cache.get_cache()._path("eigsys", (59,))
+    with open(path) as fh:
+        good = fh.read()
+    held = json.loads(good)["entries"]
+    # a file that does not parse, and one torn halfway
+    for corrupt in ("{corrupt", good[:len(good) // 2]):
         with open(path, "w") as fh:
-            fh.write("{corrupt")
-    cache.clear_memos()
-    cert = cf.certify_nonordinary(59)
-    assert cert.conclusion == cf.REJECTED
-    assert cf.emit_certificate(cert) == first
-    for path in victims:   # recomputed entries overwrite the corrupt ones
-        with open(path) as fh:
-            json.load(fh)
+            fh.write(corrupt)
+        cache.clear_memos()
+        cert = cf.certify_nonordinary(59)
+        assert cert.conclusion == cf.REJECTED
+        assert cf.emit_certificate(cert) == first
+        with open(path) as fh:   # the recomputed entries overwrite the corrupt file
+            entries = json.load(fh)["entries"]
+        for namespace in ("profile", "eigsys"):
+            assert entries[namespace], namespace
+            assert all(held[namespace][name] == entry
+                       for name, entry in entries[namespace].items())
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -5,7 +5,7 @@ import os
 import pytest
 
 import wzcert
-from wzcert import cache, certify as cf, cli, fflinalg, ffpoly, hecke, qseries
+from wzcert import cache, certify as cf, cli, fflinalg, ffpoly, hecke, primes, qseries
 from wzcert.cache import DiskCache
 from wzcert.qseries import PrecisionError, delta, dim_cusp
 
@@ -170,16 +170,31 @@ def test_disk_cache_roundtrip():
 
 
 def test_cache_entry_is_one_compact_json_write(tmp_path):
+    # every entry of p lives in p's one file, written as one compact JSON string
     disk = DiskCache(str(tmp_path))
     key = (107, 26, 13)
     value = [s.as_doc() for s in hecke.eigensystems(*key)]
+    modulus = list(ffpoly.canonical_modulus(107, 2))
     disk.put("eigsys", key, value)
+    disk.put("modulus", (107, 2), modulus)
+    assert os.listdir(tmp_path) == []       # nothing is written before the flush
+    disk.flush()
     doc = {"toolversion": wzcert.TOOL_VERSION, "schema": wzcert.CACHE_SCHEMA,
-           "key": list(key), "value": value}
+           "p": 107, "entries": {
+               "eigsys": {"107_26_13": {"key": list(key), "value": value}},
+               "modulus": {"107_2": {"key": [107, 2], "value": modulus}}}}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert os.listdir(tmp_path) == ["107.json"]
+    assert disk._path("eigsys", key) == disk._path("modulus", (107, 2))
     with open(disk._path("eigsys", key), "rb") as fh:
         assert fh.read() == text.encode("ascii")
-    assert disk.get("eigsys", key) == value
+    assert DiskCache(str(tmp_path)).get("eigsys", key) == value
+
+
+def _cached_entry(path, namespace, key):
+    """The entry {"key", "value"} of key in the per-prime file at path."""
+    with open(path, encoding="ascii") as fh:
+        return json.load(fh)["entries"][namespace]["_".join(map(str, key))]
 
 
 def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
@@ -191,7 +206,7 @@ def test_clear_memos_empties_every_memo(tmp_path, isolated_cache):
         cache.set_cache(DiskCache(str(isolated_cache)))
     memos = [hecke._basis_rows, hecke._raw_classes, hecke._systems, hecke._dim1_form,
              hecke.witness_primes, ffpoly.canonical_modulus, ffpoly.canonical_field,
-             ffpoly.embed_root, qseries._tables]
+             ffpoly.embed_root, qseries._tables, primes.is_prime]
     assert all(m in cache._memos for m in memos)
     assert [m for m in memos if not m.cache_info().currsize] == []
     cache.clear_memos()
@@ -206,10 +221,11 @@ def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache, monkeypa
     try:
         cache.clear_memos()
         fresh = hecke.eigensystems(107, 26, 13)
+        disk.flush()
         path = disk._path("eigsys", key)
         with open(path, encoding="ascii") as fh:
             good = fh.read()
-        item = json.loads(good)["value"][0]
+        item = _cached_entry(path, "eigsys", key)["value"][0]
 
         def degree(d, n):
             """The entry with degree d and n coordinates (in [0, p)) a value."""
@@ -236,72 +252,156 @@ def test_malformed_eigsys_entry_is_recomputed(tmp_path, isolated_cache, monkeypa
             degree(40, 40), degree(0, 0), degree(-1, 1), degree("2", 2), degree(2.0, 2),
         ]
         for bad in damaged:
+            # planted on disk: the next get reads it from the file
             disk.put("eigsys", key, [bad])
+            disk.flush()
             cache.clear_memos()
             assert hecke.eigensystems(107, 26, 13) == fresh
+            disk.flush()
             with open(path, encoding="ascii") as fh:
                 assert fh.read() == good
         assert built == []
         monkeypatch.undo()
         disk.put("eigsys", key, [damaged[0]])
+        disk.flush()
         cache.clear_memos()
         assert cf.certify_ordinary(107).conclusion == cf.CERTIFIED
+        assert _cached_entry(path, "eigsys", key) == json.loads(good)["entries"][
+            "eigsys"]["107_26_13"]
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
 
 
 def test_entry_of_another_schema_is_a_miss(tmp_path, isolated_cache):
-    # a well-formed entry whose value is wrong: only its schema gives it away
+    # a well-formed file whose entry is wrong: only its stamps give it away
     key = (107, 26, 13)
     disk = DiskCache(str(tmp_path))
     cache.set_cache(disk)
     try:
         cache.clear_memos()
         fresh = hecke.eigensystems(107, 26, 13)
+        disk.flush()
         path = disk._path("eigsys", key)
         with open(path, encoding="ascii") as fh:
             good = fh.read()
         doc = json.loads(good)
         assert doc["schema"] == wzcert.CACHE_SCHEMA
-        item = doc["value"][0]
+        entry = doc["entries"]["eigsys"]["107_26_13"]
+        item = entry["value"][0]
         wrong = dict(item, values=dict(item["values"], **{"2": ["1"]}))
-        for schema in (wzcert.CACHE_SCHEMA - 1, None):
-            planted = dict(doc, value=[wrong], schema=schema)
-            if schema is None:
-                del planted["schema"]
+        entries = {"eigsys": {"107_26_13": dict(entry, value=[wrong])}}
+        for stamp, value in (("schema", wzcert.CACHE_SCHEMA - 1), ("schema", None),
+                             ("toolversion", "0.0.0"), ("toolversion", None)):
+            planted = dict(doc, entries=entries, **{stamp: value})
+            if value is None:
+                del planted[stamp]
             with open(path, "w", encoding="ascii") as fh:
                 json.dump(planted, fh)
-            assert disk.get("eigsys", key) is None
+            assert disk.get("eigsys", key) is None, (stamp, value)
             cache.clear_memos()
             assert hecke.eigensystems(107, 26, 13) == fresh
+            disk.flush()
             with open(path, encoding="ascii") as fh:
                 assert fh.read() == good
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
 
 
-def test_cache_file_that_is_not_an_object_is_a_miss(tmp_path, isolated_cache, capsys):
-    # valid JSON that is not an entry: recomputed and rewritten, never raised
+def test_entry_of_another_prime_is_a_miss(tmp_path, isolated_cache):
+    # p's file that names another prime, in its stamp or in an entry's key
     key = (107, 26, 13)
     disk = DiskCache(str(tmp_path))
     cache.set_cache(disk)
     try:
         cache.clear_memos()
         fresh = hecke.eigensystems(*key)
+        other = [s.as_doc() for s in hecke.eigensystems(109, 26, 13)]
+        disk.flush()
         path = disk._path("eigsys", key)
         with open(path, encoding="ascii") as fh:
             good = fh.read()
-        for text in ("[]", "null", "3", '"x"'):
-            for compute in (lambda: hecke.eigensystems(*key) == fresh,
-                            lambda: cli.main(["certify", "--p", "107",
-                                              "--mode", "ordinary"]) == 0):
+        doc = json.loads(good)
+        entry = doc["entries"]["eigsys"]["107_26_13"]
+        assert other != entry["value"]
+        planted_docs = [
+            dict(doc, p=109),
+            dict(doc, entries={"eigsys": {"107_26_13": {"key": [109, 26, 13],
+                                                        "value": other}}}),
+        ]
+        for planted in planted_docs:
+            with open(path, "w", encoding="ascii") as fh:
+                json.dump(planted, fh)
+            assert disk.get("eigsys", key) is None
+            cache.clear_memos()
+            assert hecke.eigensystems(*key) == fresh
+            disk.flush()
+            with open(path, encoding="ascii") as fh:
+                assert fh.read() == good
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+
+
+def test_per_entry_file_of_schema_2_is_never_read(tmp_path, isolated_cache, monkeypatch):
+    # the layout before one file per prime: eigsys/107_26_13.json, here with
+    # a wrong value under the stamps of its own schema
+    key = (107, 26, 13)
+    fresh = hecke.eigensystems(*key)
+    item = fresh[0].as_doc()
+    wrong = dict(item, values=dict(item["values"], **{"2": ["1"]}))
+    legacy = tmp_path / "eigsys" / "107_26_13.json"
+    legacy.parent.mkdir()
+    legacy.write_text(json.dumps({"toolversion": wzcert.TOOL_VERSION, "schema": 2,
+                                  "key": list(key), "value": [wrong]}))
+    opened = []
+    real_open = open
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, tmp_path))
+        return real_open(path, *args, **kwargs)
+    monkeypatch.setattr(cache, "open", recording_open, raising=False)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        assert disk.get("eigsys", key) is None
+        assert hecke.eigensystems(*key) == fresh
+        disk.flush()
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+    assert set(opened) == {"107.json"}
+    assert DiskCache(str(tmp_path)).get("eigsys", key) == [item]
+
+
+def test_cache_file_that_is_not_an_object_is_a_miss(tmp_path, isolated_cache, capsys):
+    # valid JSON that is not a file of entries: recomputed and rewritten, never raised
+    key = (107, 26, 13)
+    disk = DiskCache(str(tmp_path))
+    cache.set_cache(disk)
+    try:
+        cache.clear_memos()
+        fresh = hecke.eigensystems(*key)
+        disk.flush()
+        path = disk._path("eigsys", key)
+        good = _cached_entry(path, "eigsys", key)
+        stamps = {"toolversion": wzcert.TOOL_VERSION, "schema": wzcert.CACHE_SCHEMA,
+                  "p": 107}
+        not_entries = [dict(stamps, entries=e) for e in (
+            None, [], {"eigsys": []}, {"eigsys": {"107_26_13": []}},
+            {"eigsys": {"107_26_13": {"key": list(key)}}})]
+
+        def eigensystems():
+            found = hecke.eigensystems(*key) == fresh
+            disk.flush()
+            return found
+        certified = lambda: cli.main(["certify", "--p", "107", "--mode", "ordinary"]) == 0
+        for text in ["[]", "null", "3", '"x"'] + [json.dumps(d) for d in not_entries]:
+            for compute in (eigensystems, certified):
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write(text)
                 assert disk.get("eigsys", key) is None
                 cache.clear_memos()
                 assert compute(), text
-                with open(path, encoding="ascii") as fh:
-                    assert fh.read() == good
+                assert _cached_entry(path, "eigsys", key) == good
         capsys.readouterr()
     finally:
         cache.set_cache(DiskCache(str(isolated_cache)))
@@ -326,7 +426,8 @@ def _served_after_planting(disk, namespace, key, bad, compute):
     return compute()
 
 
-def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_failed_put_leaves_no_temp_file(tmp_path, isolated_cache, monkeypatch):
+    # a run writes its entries when it ends; a failed write leaves nothing
     disk = DiskCache(str(tmp_path))
     real_fdopen = os.fdopen
 
@@ -336,13 +437,26 @@ def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
     def read_only(fd, *args, **kwargs):     # the write then raises an OSError
         return real_fdopen(fd, "r")
 
-    for name, fake in (("replace", refuse), ("fdopen", read_only)):
-        with monkeypatch.context() as patched:
-            patched.setattr(cache.os, name, fake)
-            disk.put("modulus", (7, 2), [3, 6, 1])
-        assert os.listdir(tmp_path / "modulus") == [], name
-    disk.put("modulus", (7, 2), [3, 6, 1])
-    assert os.listdir(tmp_path / "modulus") == ["7_2.json"]
+    @cache.persist
+    def run(fail=False):
+        cache.get_cache().put("modulus", (7, 2), [3, 6, 1])
+        assert os.listdir(tmp_path) == []
+        if fail:
+            raise ValueError("the run fails after its put")
+
+    cache.set_cache(disk)
+    try:
+        for name, fake in (("replace", refuse), ("fdopen", read_only)):
+            with monkeypatch.context() as patched:
+                patched.setattr(cache.os, name, fake)
+                run()
+            assert os.listdir(tmp_path) == [], name
+        with pytest.raises(ValueError):
+            run(fail=True)
+    finally:
+        cache.set_cache(DiskCache(str(isolated_cache)))
+    assert os.listdir(tmp_path) == ["7.json"]
+    assert DiskCache(str(tmp_path)).get("modulus", (7, 2)) == [3, 6, 1]
 
 
 def test_modulus_entry_that_is_not_a_field_is_a_miss(tmp_path, isolated_cache):
